@@ -92,13 +92,14 @@ def random_measurement(
     if len(ranks) != n_outcomes or any(x < 0 for x in ranks) or sum(ranks) != dim:
         raise ValueError(f"rank profile {ranks} does not resolve dimension {dim}")
     u = _haar_unitary(dim, rng)
-    projs = []
-    start = 0
-    for rk in ranks:
-        cols = u[:, start : start + rk]
-        projs.append(cols @ cols.conj().T)
-        start += rk
-    return ProjectiveMeasurement(projs)
+    # Outcome k takes columns starts[k] .. starts[k] + ranks[k] - 1 of u;
+    # shorter blocks are padded with zero columns for one stacked product.
+    starts = np.cumsum([0] + ranks[:-1])
+    offsets = np.arange(max(ranks))
+    take = offsets < np.asarray(ranks)[:, None]
+    cols = u[:, np.where(take, starts[:, None] + offsets, 0)] * take
+    cols = cols.transpose(1, 0, 2)
+    return ProjectiveMeasurement(cols @ cols.conj().swapaxes(1, 2))
 
 
 def compose_shuffles(
@@ -127,7 +128,7 @@ def omega_weight(
     composed shuffle places row l1 where the probe shuffle placed row
     l0.  The count does not depend on the probe (positions cancel), so
     it is evaluated at ``s_probe`` and at a second internally chosen
-    probe and the two counts are asserted equal.
+    probe and the two counts must agree.
     """
     m = len(v[0])
     if l0 == l1 or not (0 <= l0 < m and 0 <= l1 < m):
@@ -142,7 +143,8 @@ def omega_weight(
     if tuple(tuple(p) for p in s_probe) == alt:
         alt = tuple(tuple(range(m)) for _ in v)
     w1, w2 = count(tuple(tuple(p) for p in s_probe)), count(alt)
-    assert w1 == w2, "weight must not depend on the probe shuffle"
+    if w1 != w2:
+        raise RuntimeError("weight must not depend on the probe shuffle")
     return w1
 
 
@@ -152,7 +154,9 @@ class _Game:
     For every shuffle tuple s this caches the encoding isometry whose
     column ``col`` is the product state of the bit matrix with bits read
     off ``col`` slot-major, the two decoded values e0/e1 per column, and
-    the columns grouped by the (e0, e1) pair for batched contraction.
+    a column order sorting the columns by (e0, e1).  Every pair decodes
+    from exactly ``dim_a / l**(2n)`` columns, so reordered columns
+    reshape to (l**n, l**n, dim_a / l**(2n)) for :func:`_contract`.
     """
 
     def __init__(self, config: DqacmConfig, targets: tuple[int, int]):
@@ -182,7 +186,7 @@ class _Game:
         self.encoders = []
         self.e0 = []
         self.e1 = []
-        self.groups = []
+        self.orders = []
         for s in self.s_tuples:
             b = np.ones((1, 1), dtype=np.complex128)
             for j in range(n):
@@ -197,25 +201,13 @@ class _Game:
                 e1 |= bit[j * m + s[j][l1]] << (n - 1 - j)
             self.e0.append(e0)
             self.e1.append(e1)
-            key = e0 * self.n_out + e1
-            order = np.argsort(key, kind="stable")
-            grouped = []
-            for k in np.unique(key):
-                sel = order[key[order] == k]
-                grouped.append((int(k) // self.n_out, int(k) % self.n_out, sel))
-            self.groups.append(grouped)
+            self.orders.append(np.argsort(e0 * self.n_out + e1, kind="stable"))
 
-    def ball_lists(self, gamma: float) -> list[np.ndarray]:
-        """Outcome sets accepted as close enough to each decoded value."""
-        out = []
-        for e in range(self.n_out):
-            members = [
-                ep
-                for ep in range(self.n_out)
-                if bin(e ^ ep).count("1") <= self.n * gamma
-            ]
-            out.append(np.asarray(members))
-        return out
+    def ball_matrix(self, gamma: float) -> np.ndarray:
+        """0/1 matrix whose row e marks the outcomes accepted for decoded value e."""
+        e = np.arange(self.n_out)
+        dist = np.array([[bin(a ^ b).count("1") for b in e] for a in e])
+        return (dist <= self.n * gamma).astype(np.complex128)
 
 
 _GAME_CACHE: dict[tuple, _Game] = {}
@@ -327,28 +319,11 @@ def _permute_rows(mat: np.ndarray, factors: Sequence[int], perm: Sequence[int]) 
     return t.transpose(tuple(perm) + (len(factors),)).reshape(-1, cols)
 
 
-def _branch_views(game: _Game, strategy: Strategy):
-    """Iterate (si, W) with W the split-ordered tensor (d0, d1, columns)."""
-    chi = strategy.ancilla_state.reshape(-1, 1)
-    perm = strategy.split[0] + strategy.split[1]
-    d0, d1 = strategy.d0, strategy.d1
-    for si in range(len(game.s_tuples)):
-        inp = np.kron(game.encoders[si], chi)
-        v = strategy.unitary @ inp
-        vp = _permute_rows(v, strategy.factors, perm)
-        yield si, vp.reshape(d0, d1, game.dim_a)
-
-
-def _projector_stacks(game: _Game, strategy: Strategy, si: int):
-    s = game.s_tuples[si]
-    p0 = np.stack(strategy.measurements[(0, s)].projectors)
-    p1 = np.stack(strategy.measurements[(1, s)].projectors)
-    return p0, p1
-
-
 def _check_compat(game: _Game, strategy: Strategy) -> None:
     if strategy.qudit_count != game.m * game.n:
         raise ValueError("strategy qudit count does not match the game")
+    if strategy.local_dim != game.l:
+        raise ValueError(f"strategy local dimension {strategy.local_dim} is not l={game.l}")
     if strategy.targets != game.targets:
         raise ValueError("strategy was built for different targets")
     for s in game.s_tuples:
@@ -360,19 +335,76 @@ def _check_compat(game: _Game, strategy: Strategy) -> None:
                 raise ValueError("measurement outcome count must be l**n")
 
 
-def _evaluate(game: _Game, strategy: Strategy, balls: list[np.ndarray] | None) -> float:
-    total = 0.0
-    for si, w in _branch_views(game, strategy):
-        p0, p1 = _projector_stacks(game, strategy, si)
-        if balls is not None:
-            p0 = np.stack([p0[b].sum(axis=0) for b in balls])
-            p1 = np.stack([p1[b].sum(axis=0) for b in balls])
-        for e0v, e1v, cols in game.groups[si]:
-            wb = w[:, :, cols]
-            y = np.tensordot(p0[e0v], wb, axes=(1, 0))
-            z = np.einsum("ack,dc->adk", y, p1[e1v])
-            total += float(np.real(np.einsum("adk,adk->", wb.conj(), z)))
-    return total / (game.dim_a * len(game.s_tuples))
+def _contract(
+    game: _Game, unitary, chi, factors, split, p0, p1, ball=None, scores=None, grad=False
+):
+    """The cheating-game contraction, one shuffle tuple at a time.
+
+    ``unitary``, ``chi``, ``factors`` and ``split`` are a strategy's
+    arrays and layout (see :class:`Strategy`).  ``p0[si]`` and
+    ``p1[si]`` are the two branches' projector stacks, shape (E, d, d)
+    with E = l**n, for shuffle tuple ``si``; ``ball`` (see
+    ``_Game.ball_matrix``) replaces each by its ball sums.  With
+    the encoder's columns in ``game.orders[si]`` order, the split-ordered
+    state ``W = U (I x chi) B_s`` has shape (d0, d1, E, E, K): block
+    (e0, e1) holds the K bit matrices decoding to (e0, e1), and the
+    shuffle contributes <W, (P0[e0] x P1[e1]) W>.
+
+    Returns ``(value, stacks, grad)``.  ``value`` averages over shuffles
+    and bit matrices.  ``scores=b`` also returns branch b's per-shuffle
+    score stacks S with ``sum_e tr(P_e S_e) = value`` summed over
+    shuffles, ``grad=True`` the linear gradient G in the unitary with
+    ``Re tr(U^dagger G) = value``; both are None when not asked for.
+    """
+    n_out, d_a = game.n_out, game.dim_a
+    k = d_a // (n_out * n_out)
+    total = unitary.shape[0]
+    norm = 1.0 / (d_a * len(game.s_tuples))
+    nf = len(factors)
+    perm = split[0] + split[1]
+    perm_factors = tuple(factors[i] for i in perm)
+    inv_perm = tuple(np.argsort(perm))
+    d0 = math.prod(factors[i] for i in split[0])
+    dims = (d0, total // d0)
+    # Branch `first` acts first; the other branch's projectors then act on
+    # P_first W, which is also what that branch's score operators need.
+    first = 1 if scores == 0 else 0
+    other = 1 - first
+    w_axes = (2 + first, first, 2 + other, other, 4)
+    z_axes = tuple(np.argsort((2 + other, other, 2 + first, first, 4)))
+    m_op = unitary.reshape(total, d_a, -1) @ chi
+    value = 0.0
+    stacks = [] if scores is not None else None
+    h = np.zeros((total, d_a), dtype=np.complex128) if grad else None
+    for si in range(len(game.s_tuples)):
+        enc = game.encoders[si][:, game.orders[si]]
+        v = (m_op @ enc).reshape(factors + (n_out, n_out, k))
+        w = v.transpose(perm + (nf, nf + 1, nf + 2)).reshape(dims + (n_out, n_out, k))
+        q = [np.asarray(p0[si]), np.asarray(p1[si])]
+        if ball is not None:
+            q = [(ball @ p.reshape(n_out, -1)).reshape(p.shape) for p in q]
+        # x: (e_first, first | e_other, other, k), then (e_other, other | rest)
+        x = q[first] @ w.transpose(w_axes).reshape(n_out, dims[first], -1)
+        x = x.reshape(n_out, dims[first], n_out, dims[other], k).transpose(2, 3, 0, 1, 4)
+        x = x.reshape(n_out, dims[other], -1)
+        z = q[other] @ x
+        # <x, z> = <W, (P0 x P1) W> since P_first is an orthogonal projector
+        value += np.vdot(x, z).real
+        if stacks is not None:
+            stacks.append(norm * (x @ x.conj().swapaxes(1, 2)))
+        if h is not None:
+            z_w = z.reshape(n_out, dims[other], n_out, dims[first], k).transpose(z_axes)
+            z_f = z_w.reshape(perm_factors + (d_a,)).transpose(inv_perm + (nf,))
+            h += z_f.reshape(total, d_a) @ enc.conj().T
+    g = None if h is None else norm * (h[:, :, None] * chi.conj()).reshape(total, total)
+    return float(value) * norm, stacks, g
+
+
+def _evaluate(game: _Game, strategy: Strategy, ball: np.ndarray | None) -> float:
+    p0 = [strategy.measurements[(0, s)].projectors for s in game.s_tuples]
+    p1 = [strategy.measurements[(1, s)].projectors for s in game.s_tuples]
+    args = (strategy.unitary, strategy.ancilla_state, strategy.factors, strategy.split)
+    return _contract(game, *args, p0, p1, ball)[0]
 
 
 def cheat_probability_exact(config: DqacmConfig, strategy: Strategy) -> float:
@@ -395,27 +427,7 @@ def cheat_probability_gamma(
         raise ValueError(f"gamma={gamma} outside [0, 0.5]")
     game = _game_for(config, strategy.targets)
     _check_compat(game, strategy)
-    return _evaluate(game, strategy, game.ball_lists(gamma))
-
-
-def _score_ops(
-    game: _Game, si: int, w: np.ndarray, other_projs: np.ndarray, branch: int, dim: int
-) -> np.ndarray:
-    """Per-outcome score operators for one branch, holding the other fixed.
-
-    The branch objective is ``sum_e tr(P_e S_e)``; maximizing it over
-    complete projector families is the measurement update subproblem.
-    """
-    scores = np.zeros((game.n_out, dim, dim), dtype=np.complex128)
-    for e0v, e1v, cols in game.groups[si]:
-        wb = w[:, :, cols]
-        if branch == 0:
-            a = np.einsum("ack,dc->adk", wb, other_projs[e1v])
-            scores[e0v] += np.einsum("adk,bdk->ab", a, wb.conj())
-        else:
-            pw = np.tensordot(other_projs[e0v], wb, axes=(1, 0))
-            scores[e1v] += np.einsum("abk,adk->bd", wb.conj(), pw).T
-    return scores
+    return _evaluate(game, strategy, game.ball_matrix(gamma))
 
 
 def _exchange_update(
@@ -447,6 +459,13 @@ def _exchange_update(
                 out[a] = 0.5 * (new_a + new_a.conj().T)
                 out[b] = 0.5 * (new_b + new_b.conj().T)
     return np.stack(out)
+
+
+def _exchange_all(projs: list[np.ndarray], scores: list[np.ndarray]) -> list[np.ndarray]:
+    """Exchange-update every shuffle's stack, reusing the score list for the result."""
+    for si, sc in enumerate(scores):
+        scores[si] = _exchange_update(projs[si], sc)
+    return scores
 
 
 @dataclass(frozen=True, eq=False)
@@ -484,93 +503,71 @@ def seesaw_optimize(
         raise CapacityError(f"seesaw dimension {total} exceeds {MAX_TOTAL_DIM}")
 
     factors = (2,) * mn + (ancilla_dim,)
-    split0 = tuple(range(mn))
-    split1 = (mn,)
+    split = (tuple(range(mn)), (mn,))
     d0, d1 = d_a, ancilla_dim
     chi = np.zeros(ancilla_dim, dtype=np.complex128)
     chi[0] = 1.0
     unitary = _haar_unitary(total, rng)
-    p0s = {}
-    p1s = {}
-    for s in game.s_tuples:
-        p0s[s] = np.stack(random_measurement(d0, game.n_out, rng).projectors)
-        p1s[s] = np.stack(random_measurement(d1, game.n_out, rng).projectors)
+    p0s = []
+    p1s = []
+    for _ in game.s_tuples:
+        p0s.append(np.stack(random_measurement(d0, game.n_out, rng).projectors))
+        p1s.append(np.stack(random_measurement(d1, game.n_out, rng).projectors))
 
-    perm = split0 + split1
-    inv_perm = np.argsort(perm)
-    perm_factors = [factors[i] for i in perm]
+    def contract(**want):
+        return _contract(game, unitary, chi, factors, split, p0s, p1s, **want)
 
-    def views():
-        for si in range(len(game.s_tuples)):
-            inp = np.kron(game.encoders[si], chi.reshape(-1, 1))
-            v = unitary @ inp
-            yield si, inp, _permute_rows(v, factors, perm).reshape(d0, d1, d_a)
-
-    def evaluate() -> float:
-        total_p = 0.0
-        for si, _inp, w in views():
-            s = game.s_tuples[si]
-            for e0v, e1v, cols in game.groups[si]:
-                wb = w[:, :, cols]
-                y = np.tensordot(p0s[s][e0v], wb, axes=(1, 0))
-                z = np.einsum("ack,dc->adk", y, p1s[s][e1v])
-                total_p += float(np.real(np.einsum("adk,adk->", wb.conj(), z)))
-        return total_p / (d_a * len(game.s_tuples))
-
-    p = evaluate()
+    # Each pass that checks an update also yields what the next update
+    # needs: branch-1 scores, then the gradient, then branch-0 scores.
+    p, s0, _ = contract(scores=0)
     trace = [p]
     converged = False
     for _ in range(iterations):
-        for branch in (0, 1):
-            store = p0s if branch == 0 else p1s
-            backup = {s: store[s] for s in game.s_tuples}
-            for si, _inp, w in views():
-                s = game.s_tuples[si]
-                other = p1s[s] if branch == 0 else p0s[s]
-                dim = d0 if branch == 0 else d1
-                scores = _score_ops(game, si, w, other, branch, dim)
-                store[s] = _exchange_update(store[s], scores)
-            p_new = evaluate()
-            if p_new < p - 1e-12:
-                store.update(backup)
-            else:
-                p = p_new
-
-        grad = np.zeros_like(unitary)
-        for si, inp, w in views():
-            s = game.s_tuples[si]
-            y = np.zeros((d0 * d1, d_a), dtype=np.complex128)
-            for e0v, e1v, cols in game.groups[si]:
-                wb = w[:, :, cols]
-                t = np.tensordot(p0s[s][e0v], wb, axes=(1, 0))
-                t = np.einsum("ack,dc->adk", t, p1s[s][e1v])
-                y[:, cols] = t.reshape(d0 * d1, -1)
-            grad += _permute_rows(y, perm_factors, inv_perm) @ inp.conj().T
-        u_backup = unitary
-        uu, _sv, vh = np.linalg.svd(grad)
-        unitary = uu @ vh
-        p_new = evaluate()
+        backup = p0s
+        p0s = _exchange_all(p0s, s0)
+        p_new, s1, _ = contract(scores=1)
         if p_new < p - 1e-12:
-            unitary = u_backup
+            p0s = backup
+            s1 = contract(scores=1)[1]
         else:
             p = p_new
 
-        assert p >= trace[-1] - 1e-10, "seesaw trace must be monotone"
+        backup = p1s
+        p1s = _exchange_all(p1s, s1)
+        p_new, _, grad = contract(grad=True)
+        if p_new < p - 1e-12:
+            p1s = backup
+            grad = contract(grad=True)[2]
+        else:
+            p = p_new
+
+        u_backup = unitary
+        uu, _sv, vh = np.linalg.svd(grad)
+        unitary = uu @ vh
+        p_new, s0, _ = contract(scores=0)
+        if p_new < p - 1e-12:
+            unitary = u_backup
+            s0 = contract(scores=0)[1]
+        else:
+            p = p_new
+
+        if not p >= trace[-1] - 1e-10:
+            raise RuntimeError(f"seesaw trace must be monotone, got {p!r} after {trace[-1]!r}")
         trace.append(p)
         if len(trace) >= 4 and trace[-1] - trace[-4] < tol:
             converged = True
             break
 
     measurements = {}
-    for s in game.s_tuples:
-        measurements[(0, s)] = ProjectiveMeasurement(list(p0s[s]))
-        measurements[(1, s)] = ProjectiveMeasurement(list(p1s[s]))
+    for si, s in enumerate(game.s_tuples):
+        measurements[(0, s)] = ProjectiveMeasurement(p0s[si])
+        measurements[(1, s)] = ProjectiveMeasurement(p1s[si])
     strategy = Strategy(
         targets=targets,
         ancilla_dims=(ancilla_dim,),
         ancilla_state=chi,
         unitary=unitary,
-        split=(split0, split1),
+        split=split,
         measurements=measurements,
         qudit_count=mn,
     )

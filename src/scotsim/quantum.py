@@ -213,6 +213,16 @@ def prepare_product_state(
     return PureState(vec, (l,) * (m * n))
 
 
+# Above this dimension the orthogonality check loops over pairs: stacked
+# pairwise products of large projectors cost more time and memory.
+_BATCH_PAIRS_MAX_DIM = 32
+
+
+def _within_tol(diff: np.ndarray) -> np.ndarray:
+    """Whether every entry of each trailing matrix is within ``PROJECTOR_TOL`` of zero."""
+    return (np.abs(diff) <= PROJECTOR_TOL).all(axis=(-2, -1))
+
+
 @dataclass(frozen=True, eq=False)
 class ProjectiveMeasurement:
     """A complete family of mutually orthogonal projectors.
@@ -227,29 +237,39 @@ class ProjectiveMeasurement:
     subsystems: tuple[int, ...] | None = None
 
     def __init__(self, projectors, subsystems=None) -> None:
-        projs = tuple(np.asarray(p, dtype=np.complex128) for p in projectors)
+        projs = [np.asarray(p, dtype=np.complex128) for p in projectors]
         if not projs:
             raise ValueError("measurement needs at least one outcome")
         d = projs[0].shape[0]
-        total = np.zeros((d, d), dtype=np.complex128)
-        for k, p in enumerate(projs):
-            if p.shape != (d, d):
-                raise ValueError("projectors must share one square shape")
-            if not np.allclose(p, p.conj().T, atol=PROJECTOR_TOL, rtol=0.0):
-                raise ValueError(f"projector {k} is not Hermitian")
-            if not np.allclose(p @ p, p, atol=PROJECTOR_TOL, rtol=0.0):
-                raise ValueError(f"projector {k} is not idempotent")
-            total += p
-        if not np.allclose(total, np.eye(d), atol=PROJECTOR_TOL, rtol=0.0):
+        if any(p.shape != (d, d) for p in projs):
+            raise ValueError("projectors must share one square shape")
+        # A stacked array is checked and kept as given, without a copy.
+        if isinstance(projectors, np.ndarray):
+            stack = projectors.astype(np.complex128, copy=False)
+        else:
+            stack = np.stack(projs)
+        herm = _within_tol(stack - stack.conj().swapaxes(1, 2))
+        idem = _within_tol(stack @ stack - stack)
+        bad = np.flatnonzero(~(herm & idem))
+        if bad.size:
+            k = int(bad[0])
+            what = "Hermitian" if not herm[k] else "idempotent"
+            raise ValueError(f"projector {k} is not {what}")
+        if not _within_tol(stack.sum(axis=0) - np.eye(d)):
             raise ValueError("projectors do not sum to the identity")
-        for a in range(len(projs)):
-            for b in range(a + 1, len(projs)):
-                if not np.allclose(
-                    projs[a] @ projs[b], 0.0, atol=PROJECTOR_TOL, rtol=0.0
-                ):
-                    raise ValueError(f"projectors {a} and {b} are not orthogonal")
-        for p in projs:
-            p.setflags(write=False)
+        if d <= _BATCH_PAIRS_MAX_DIM:
+            first, second = np.triu_indices(len(projs), 1)
+            bad = np.flatnonzero(~_within_tol(stack[first] @ stack[second]))
+            if bad.size:
+                a, b = int(first[bad[0]]), int(second[bad[0]])
+                raise ValueError(f"projectors {a} and {b} are not orthogonal")
+        else:
+            for a in range(len(projs)):
+                for b in range(a + 1, len(projs)):
+                    if not _within_tol(stack[a] @ stack[b]):
+                        raise ValueError(f"projectors {a} and {b} are not orthogonal")
+        stack.setflags(write=False)
+        projs = tuple(stack)
         object.__setattr__(self, "projectors", projs)
         object.__setattr__(
             self,

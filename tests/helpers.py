@@ -1,14 +1,20 @@
-"""Utilities shared across test modules, chiefly Lorentz boosts.
+"""Utilities shared across test modules.
 
-The library itself never boosts anything; boosts exist only so the
-tests can check that the causal predicates are frame-independent.
+Lorentz boosts: the library itself never boosts anything; boosts exist
+only so the tests can check that the causal predicates are
+frame-independent.  A reference cheating-probability evaluator: slow
+and plainly correct, it pins the fast contraction kernel in
+``scotsim.adversary``.
 """
 
+import itertools
 import math
 
 import numpy as np
 
+from scotsim.dqacm import enumerate_permutations
 from scotsim.minkowski import Event
+from scotsim.quantum import prepare_product_state
 
 
 def boost_event(e: Event, velocity) -> Event:
@@ -49,3 +55,44 @@ def classify(a: Event, b: Event) -> str:
         return "backward"
     assert spacelike_separated(a, b)
     return "spacelike"
+
+
+def reference_cheat_probability(config, strategy, gamma: float = 0.0) -> float:
+    """Slow, plainly correct cheating probability of a two-branch strategy.
+
+    Applies the Born rule to every input: for each shuffle tuple s and
+    bit matrix r it prepares ``prepare_product_state(r, s) (x) chi``,
+    applies the strategy unitary, reorders the tensor factors into
+    (branch 0, branch 1), and adds ``|| (P0[f0] (x) P1[f1]) psi ||**2``
+    over every outcome pair the referee accepts, with the joint
+    projector built by ``np.kron``.  An outcome is accepted when it
+    differs from the target row on at most ``n * gamma`` rounds.
+    """
+    m, n, l = config.m, config.n, config.l
+    l0, l1 = strategy.targets
+    n_out = l**n
+    order = strategy.split[0] + strategy.split[1]
+
+    def row_value(row) -> int:
+        return int(sum(int(b) * l ** (n - 1 - j) for j, b in enumerate(row)))
+
+    def accepted(e: int) -> list[int]:
+        return [f for f in range(n_out) if bin(e ^ f).count("1") <= n * gamma]
+
+    total, count = 0.0, 0
+    for s in itertools.product(enumerate_permutations(m), repeat=n):
+        p0 = strategy.measurements[(0, s)].projectors
+        p1 = strategy.measurements[(1, s)].projectors
+        joint = {}
+        for bits in itertools.product(range(l), repeat=m * n):
+            r = np.reshape(bits, (m, n))
+            base = prepare_product_state(config.family, r, s).amplitudes
+            psi = strategy.unitary @ np.kron(base, strategy.ancilla_state)
+            psi = psi.reshape(strategy.factors).transpose(order).reshape(-1)
+            for f0 in accepted(row_value(r[l0])):
+                for f1 in accepted(row_value(r[l1])):
+                    if (f0, f1) not in joint:
+                        joint[f0, f1] = np.kron(p0[f0], p1[f1])
+                    total += float(np.linalg.norm(joint[f0, f1] @ psi) ** 2)
+            count += 1
+    return total / count

@@ -1,0 +1,188 @@
+"""The cheating-game contraction kernel against a plainly correct reference.
+
+``_contract`` evaluates every strategy, scores the see-saw's measurement
+updates and gives its unitary gradient.  Here it is pinned against the
+Born-rule evaluator in ``helpers``, its score stacks and gradient are
+checked to reproduce the value, its memory is held under a stated peak,
+and the invariants of ``adversary`` are shown to hold under ``python -O``.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from helpers import reference_cheat_probability
+from scotsim import adversary
+from scotsim.adversary import (
+    Strategy,
+    cheat_probability_exact,
+    cheat_probability_gamma,
+    honest_single_branch_strategy,
+    intercept_strategy,
+    random_measurement,
+    random_strategy,
+)
+from scotsim.dqacm import DqacmConfig
+from scotsim.quantum import equal_spaced_family
+
+PIN = 1e-12
+GRID = [(2, 1), (2, 2), (3, 1), (3, 2)]
+
+
+def _config(m, n):
+    return DqacmConfig(m=m, n=n, family=equal_spaced_family(m))
+
+
+def _strategies(m, n):
+    cfg = _config(m, n)
+    out = [random_strategy(cfg, (0, 1), rng=seed) for seed in (0, 1)]
+    out.append(random_strategy(cfg, (1, 0), rng=2))
+    out.append(honest_single_branch_strategy(cfg, (0, 1)))
+    # The m=3, n=2 intercept strategy needs a 4096-dim unitary (256 MB).
+    if (m, n) != (3, 2):
+        out.append(intercept_strategy(cfg, (0, 1)))
+    return cfg, out
+
+
+def _run_kernel(cfg, strat, **want):
+    game = adversary._game_for(cfg, strat.targets)
+    p0 = [np.stack(strat.measurements[(0, s)].projectors) for s in game.s_tuples]
+    p1 = [np.stack(strat.measurements[(1, s)].projectors) for s in game.s_tuples]
+    args = (game, strat.unitary, strat.ancilla_state, strat.factors, strat.split, p0, p1)
+    return adversary._contract(*args, **want), p0, p1
+
+
+@pytest.mark.parametrize("m,n", GRID)
+def test_kernel_matches_reference(m, n):
+    cfg, strategies = _strategies(m, n)
+    for strat in strategies:
+        assert cheat_probability_exact(cfg, strat) == pytest.approx(
+            reference_cheat_probability(cfg, strat), abs=PIN
+        )
+        for gamma in (0.1, 0.25, 0.5):
+            assert cheat_probability_gamma(cfg, strat, gamma) == pytest.approx(
+                reference_cheat_probability(cfg, strat, gamma), abs=PIN
+            )
+
+
+@pytest.mark.parametrize("m,n,ancilla_dim", [(2, 1, 1), (2, 2, 3), (3, 2, 2)])
+def test_rank_zero_outcomes_match_reference(m, n, ancilla_dim):
+    # Canonical split, so branch 1 holds only the ancilla: d1 < l**n and
+    # some branch-1 outcomes have rank-0 projectors.
+    cfg = _config(m, n)
+    seeds = (
+        seed
+        for seed in range(50)
+        if random_strategy(cfg, (0, 1), ancilla_dim, rng=seed).d1 == ancilla_dim
+    )
+    strat = random_strategy(cfg, (0, 1), ancilla_dim, rng=next(seeds))
+    ranks = [np.trace(p).real for pm in strat.measurements.values() for p in pm.projectors]
+    assert min(ranks) == pytest.approx(0.0, abs=1e-12)
+    for gamma in (0.0, 0.5):
+        assert cheat_probability_gamma(cfg, strat, gamma) == pytest.approx(
+            reference_cheat_probability(cfg, strat, gamma), abs=PIN
+        )
+
+
+@pytest.mark.parametrize("m,n", GRID)
+def test_scores_and_gradient_reproduce_the_value(m, n):
+    cfg, strategies = _strategies(m, n)
+    for strat in strategies[:3]:
+        (value, _, _), p0, p1 = _run_kernel(cfg, strat)
+        for branch, projs in ((0, p0), (1, p1)):
+            (v, stacks, _), _, _ = _run_kernel(cfg, strat, scores=branch)
+            traced = sum(np.einsum("eab,eba->", p, sc).real for p, sc in zip(projs, stacks))
+            assert v == pytest.approx(value, abs=PIN)
+            assert traced == pytest.approx(value, abs=PIN)
+        (v, _, grad), _, _ = _run_kernel(cfg, strat, grad=True)
+        assert grad.shape == strat.unitary.shape
+        assert np.trace(strat.unitary.conj().T @ grad).real == pytest.approx(value, abs=PIN)
+
+
+def test_local_dimension_mismatch_rejected(cfg21):
+    # Two qutrits instead of two qubits: same qudit count, wrong l.
+    rng = np.random.default_rng(0)
+    game = adversary._game_for(cfg21, (0, 1))
+    strat = Strategy(
+        targets=(0, 1),
+        ancilla_dims=(1,),
+        ancilla_state=np.ones(1),
+        unitary=np.eye(9),
+        split=((0,), (1, 2)),
+        measurements={
+            (branch, s): random_measurement(3, 2, rng)
+            for s in game.s_tuples
+            for branch in (0, 1)
+        },
+        qudit_count=2,
+        local_dim=3,
+    )
+    with pytest.raises(ValueError, match="local dimension"):
+        cheat_probability_exact(cfg21, strat)
+
+
+def test_evaluation_memory_stays_per_shuffle(cfg32):
+    # One shuffle's intermediates are about 1 MB at m=3, n=2; batching all
+    # 36 shuffles at once would take over 30 MB.
+    strat = random_strategy(cfg32, (0, 1), rng=2)
+    cheat_probability_exact(cfg32, strat)  # builds and caches the game
+    tracemalloc.start()
+    try:
+        cheat_probability_exact(cfg32, strat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+def _run_optimized(body: str) -> subprocess.CompletedProcess:
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", textwrap.dedent(body)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+def test_omega_weight_guard_survives_optimize():
+    # A composition that ignores the probe makes the two counts differ.
+    res = _run_optimized(
+        """
+        from scotsim import adversary
+        assert False  # stripped under -O
+        adversary.compose_shuffles = lambda s, v: tuple((0, 1) for _ in v)
+        adversary.omega_weight(((1, 0),), 0, 1, ((0, 1),))
+        """
+    )
+    assert res.returncode != 0
+    assert "weight must not depend on the probe shuffle" in res.stderr
+
+
+def test_seesaw_monotone_guard_survives_optimize():
+    # A kernel that turns NaN after the first pass breaks the trace.
+    res = _run_optimized(
+        """
+        from scotsim import adversary, quantum
+        from scotsim.dqacm import DqacmConfig
+        assert False  # stripped under -O
+        kernel = adversary._contract
+        calls = []
+        def broken(*args, **kwargs):
+            value, stacks, grad = kernel(*args, **kwargs)
+            calls.append(value)
+            return (value if len(calls) == 1 else float("nan")), stacks, grad
+        adversary._contract = broken
+        cfg = DqacmConfig(2, 1, quantum.bb84_family())
+        adversary.seesaw_optimize(cfg, (0, 1), iterations=3)
+        """
+    )
+    assert res.returncode != 0
+    assert "seesaw trace must be monotone" in res.stderr

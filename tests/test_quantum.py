@@ -125,6 +125,22 @@ class TestMeasurements:
         with pytest.raises(ValueError):
             ProjectiveMeasurement([p0, p0])  # not orthogonal, overcomplete
 
+    @pytest.mark.parametrize("d", [2, 40])  # stacked and looped pair checks
+    def test_each_check_names_the_failing_projector(self, d):
+        p0 = np.diag([1.0] * (d // 2) + [0.0] * (d - d // 2)).astype(complex)
+        p1 = np.eye(d) - p0
+        skew = p1.copy()
+        skew[d - 1, 0] = 1.0  # maps range(p0) into range(p1): idempotent, not Hermitian
+        with pytest.raises(ValueError, match="projector 1 is not Hermitian"):
+            ProjectiveMeasurement([p0, skew])
+        with pytest.raises(ValueError, match="projector 1 is not idempotent"):
+            ProjectiveMeasurement([p0, 0.5 * p1])
+        with pytest.raises(ValueError, match="projector 0 is not idempotent"):
+            ProjectiveMeasurement([0.5 * p0, skew])  # the first failing projector is named
+        with pytest.raises(ValueError, match="do not sum to the identity"):
+            ProjectiveMeasurement([p0])
+        assert ProjectiveMeasurement([p0, p1]).n_outcomes == 2
+
     def test_identity_partition_is_valid(self):
         p0 = np.diag([1.0, 0.0]).astype(complex)
         p1 = np.diag([0.0, 1.0]).astype(complex)
