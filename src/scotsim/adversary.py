@@ -164,6 +164,8 @@ class _Game:
         l0, l1 = targets
         if m not in (2, 3):
             raise CapacityError(f"adversarial enumeration supports m in {{2, 3}}, got {m}")
+        if l != 2:
+            raise CapacityError(f"adversarial enumeration supports qubit families only, got l={l}")
         if n > MAX_N:
             raise CapacityError(f"adversarial enumeration supports n <= {MAX_N}, got {n}")
         if l ** (m * n) > MAX_TOTAL_DIM:

@@ -149,8 +149,12 @@ class BoundReport:
     gamma_threshold: float
 
     def __post_init__(self) -> None:
-        assert 0.0 < self.epsilon_exact <= 1.0
-        assert self.epsilon_gamma >= self.epsilon_exact - 1e-15
+        if not 0.0 < self.epsilon_exact <= 1.0:
+            raise ValueError(f"epsilon_exact={self.epsilon_exact} outside (0, 1]")
+        if not self.epsilon_gamma >= self.epsilon_exact - 1e-15:
+            raise ValueError(
+                f"epsilon_gamma={self.epsilon_gamma} below epsilon_exact={self.epsilon_exact}"
+            )
 
 
 def bound_report(m: int, n: int, lam: float, gamma: float = 0.0) -> BoundReport:

@@ -4,7 +4,8 @@ Subcommands: ``run`` (execute one protocol instance and emit transcript
 plus summary), ``bounds`` (sweep the closed-form bounds over a grid),
 ``attack`` (see-saw optimization of the cheating game with a soundness
 report), ``verify`` (the numerical lemma battery).  Exit codes: 0 ok,
-2 configuration problems, 3 scheduling infeasibility, 4 capacity.
+1 a run or check failed, 2 configuration problems, 3 scheduling
+infeasibility, 4 capacity.
 
 All JSON output is canonical (sorted keys, no spaces) so identical
 invocations produce byte-identical files; the only nondeterministic
@@ -30,6 +31,7 @@ from . import adversary, bounds, dqacm, minkowski, protocol, quantum
 from .errors import CapacityError, ConfigError, SchedulingError
 
 EXIT_OK = 0
+EXIT_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_SCHEDULING = 3
 EXIT_CAPACITY = 4
@@ -121,7 +123,7 @@ def cmd_run(args) -> int:
     sys.stdout.write(_canonical(summary))
     if not ok:
         sys.stderr.write(f"transcript verification failed: {violations}\n")
-        return 1
+        return EXIT_FAILED
     return EXIT_OK
 
 
@@ -307,7 +309,7 @@ def cmd_verify(args) -> int:
             line += f"  ({detail})"
         print(line)
         failed = failed or not ok
-    return EXIT_OK if not failed else 1
+    return EXIT_FAILED if failed else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

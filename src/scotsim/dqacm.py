@@ -28,6 +28,7 @@ __all__ = [
     "BobRecord",
     "enumerate_permutations",
     "sample_inputs",
+    "sample_slots",
     "stage1_honest",
     "decode",
     "k_stage1_honest",
@@ -114,7 +115,7 @@ class AliceInputs:
         arr = np.asarray(r, dtype=np.int64)
         arr.setflags(write=False)
         object.__setattr__(self, "r", arr)
-        object.__setattr__(self, "s", tuple(tuple(int(p) for p in perm) for perm in s))
+        object.__setattr__(self, "s", tuple(tuple(map(int, perm)) for perm in s))
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,8 +146,9 @@ def sample_inputs(config: DqacmConfig, rng) -> AliceInputs:
     """Draw uniform sender randomness."""
     rng = _as_rng(rng)
     r = rng.integers(0, config.l, size=(config.m, config.n))
-    s = tuple(tuple(int(p) for p in rng.permutation(config.m)) for _ in range(config.n))
-    return AliceInputs(r, s)
+    # Row-wise shuffles draw exactly what one permutation per round would.
+    s = rng.permuted(np.tile(np.arange(config.m), (config.n, 1)), axis=1)
+    return AliceInputs(r, s.tolist())
 
 
 def _validate_run(config: DqacmConfig, inputs: AliceInputs, c: int) -> None:
@@ -160,6 +162,33 @@ def _validate_run(config: DqacmConfig, inputs: AliceInputs, c: int) -> None:
             raise ValueError(f"s[{j}]={perm} is not a permutation of range({m})")
     if not 0 <= c < m:
         raise ValueError(f"c={c} outside range({m})")
+
+
+def sample_slots(
+    config: DqacmConfig,
+    c: int | np.ndarray,
+    occupant: np.ndarray,
+    bits: np.ndarray,
+    rng: np.random.Generator,
+    flip_rate: float = 0.0,
+) -> np.ndarray:
+    """Measure single-qudit slots in bases ``c`` through :meth:`DqacmConfig.slot_cdf`.
+
+    Slot k carries vector ``bits[k]`` of basis ``occupant[k]`` and is
+    measured in basis ``c[k]`` (``c`` broadcasts against ``occupant``).
+    One uniform draw per slot, in C order, picks the outcome from the
+    cumulative Born table; a slot measured in its own basis yields its
+    bit.  With ``flip_rate > 0`` a second draw per slot, in the same
+    order, flips each outcome independently.
+    """
+    cdf = config.slot_cdf()[c, occupant, bits]
+    u = rng.random(bits.shape)
+    d = (cdf <= u[..., None]).sum(axis=-1)
+    same = occupant == c
+    d[same] = bits[same]
+    if flip_rate > 0.0:
+        d ^= (rng.random(d.shape) < flip_rate).astype(np.int64)
+    return d
 
 
 def stage1_honest(
@@ -183,24 +212,10 @@ def stage1_honest(
     if flip_rate > 0.0 and config.l != 2:
         raise ValueError("bit flips are only defined for two-outcome slots")
     rng = _as_rng(rng)
-    m, n = config.m, config.n
-
     # occupant[p, j] = basis index of the carrier at position p of round j
-    occupant = np.empty((m, n), dtype=np.int64)
-    for j, perm in enumerate(inputs.s):
-        for i, p in enumerate(perm):
-            occupant[p, j] = i
+    occupant = np.argsort(np.array(inputs.s), axis=1).T
     bits = np.take_along_axis(inputs.r, occupant, axis=0)
-
-    cdf = config.slot_cdf()[c][occupant, bits]
-    u = rng.random((m, n))
-    d = (cdf <= u[..., None]).sum(axis=-1)
-    same = occupant == c
-    d[same] = bits[same]
-
-    if flip_rate > 0.0:
-        d ^= (rng.random((m, n)) < flip_rate).astype(np.int64)
-    return BobRecord(c, d)
+    return BobRecord(c, sample_slots(config, c, occupant, bits, rng, flip_rate))
 
 
 def decode(

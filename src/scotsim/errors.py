@@ -2,7 +2,7 @@
 
 Each maps to a distinct process exit code in the command line interface:
 configuration problems exit 2, scheduling failures exit 3, capacity
-failures exit 4.
+failures exit 4.  Exit 1 is kept for a run or check that failed.
 """
 
 from __future__ import annotations

@@ -9,7 +9,11 @@ worldline vertex at or after the agent's previous action that satisfies
 the requirements, and message delivery additionally waits for the light
 cone of the emission vertex.  A run therefore fails loudly, with
 :class:`SchedulingError`, when the declared geometry cannot support the
-protocol's information flow.
+protocol's information flow.  Binding depends only on the layout, the
+protocol and the target region b, never on the random data, so each
+such schedule is bound once per layout object; a run only draws its
+data, measures every qubit in one vectorised pass
+(:func:`scotsim.dqacm.sample_slots`) and fills the payloads in.
 
 The runners:
 
@@ -258,12 +262,13 @@ def placement_satisfied(
 
 
 class _AgentGeometry:
-    """Vectorized per-agent vertex data and placement masks."""
+    """Vectorized per-agent vertex data, placement masks and vertex set."""
 
     def __init__(self, vlayout: ValidatedLayout, agent: str):
         layout = vlayout.layout
         verts = layout.worldline(agent)
         self.events = verts
+        self.vertices = frozenset(verts)
         self.ts = np.array([v.t for v in verts])
         self.xs = np.array([v.x for v in verts])
         m = layout.m
@@ -299,101 +304,175 @@ class _AgentGeometry:
         return out
 
 
-_GEOMETRY_CACHE: dict[int, tuple[ValidatedLayout, dict[str, _AgentGeometry]]] = {}
+@dataclass(frozen=True)
+class _Action:
+    """One protocol action before binding; a message when ``receiver`` is set."""
+
+    agent: str
+    kind: str
+    placement: tuple[Placement, ...] = ()
+    receiver: str | None = None
+    deliver: tuple[Placement, ...] = ()
 
 
-def _geometry(vlayout: ValidatedLayout) -> dict[str, _AgentGeometry]:
+_IN_G = (Placement("in_g"),)
+
+
+def _handovers(m: int) -> list[_Action]:
+    return [
+        _Action(f"A{i}", "handover", (Placement("at_q", i),),
+                receiver=f"B{i}", deliver=(Placement("at_q", i),))
+        for i in range(m)
+    ]
+
+
+def _bb84_actions(m: int, b: int, padded: bool) -> list[_Action]:
+    """psr, or pqc when ``padded``: the sender agents also get the pads' inputs."""
+    in_b = (Placement("in_region", b),)
+    middle = []
+    for i in range(m):
+        past_i = (Placement("past_q", i),)
+        if padded:
+            middle += [
+                _Action("A", "pad_info", receiver=f"A{i}", deliver=past_i),
+                _Action(f"A{i}", "input_x", past_i),
+                _Action(f"A{i}", "compute_pad", past_i),
+            ]
+        else:
+            middle.append(_Action("A", "basis_info", receiver=f"A{i}", deliver=past_i))
+    return [
+        _Action("A", "prepare", _IN_G),
+        _Action("A", "qubits", _IN_G, receiver="B", deliver=_IN_G),
+        _Action("B", "input_b", _IN_G),
+        _Action("B", "qubits_forward", _IN_G,
+                receiver=f"B{b}", deliver=(Placement("past_region", b),)),
+        *middle,
+        *_handovers(m),
+        _Action(f"B{b}", "measure", in_b),
+        _Action(f"B{b}", "output", in_b),
+    ]
+
+
+def _pcc_actions(m: int, b: int) -> list[_Action]:
+    past = [(Placement("past_q", i),) for i in range(m)]
+    return [
+        _Action("A", "prepare", _IN_G),
+        _Action("A", "state", _IN_G, receiver="B", deliver=_IN_G),
+        _Action("B", "input_c", _IN_G),
+        _Action("B", "measure_all", _IN_G),
+        *(_Action("A", "alice_info", receiver=f"A{i}", deliver=past[i]) for i in range(m)),
+        *(_Action("B", "bob_record", receiver=f"B{i}", deliver=past[i]) for i in range(m)),
+        _Action("B", "input_b", _IN_G),
+        _Action("B", "basis_shift", _IN_G, receiver="A", deliver=_IN_G),
+        *(_Action("B", "target_index", receiver=f"B{i}", deliver=past[i]) for i in range(m)),
+        *(_Action("A", "shift_info", receiver=f"A{i}", deliver=past[i]) for i in range(m)),
+        *(
+            act
+            for i in range(m)
+            for act in (_Action(f"A{i}", "input_x", past[i]),
+                        _Action(f"A{i}", "compute_pad", past[i]))
+        ),
+        *_handovers(m),
+        # Every receiver agent can decode the committed row once s arrives;
+        # only the targeted one must do so inside its output region.
+        *(
+            _Action(f"B{i}", "decode", (Placement("in_region", i),) if i == b else ())
+            for i in range(m)
+        ),
+        _Action(f"B{b}", "output", (Placement("in_region", b),)),
+    ]
+
+
+_ACTIONS = {
+    "psr": lambda m, b: _bb84_actions(m, b, padded=False),
+    "pqc": lambda m, b: _bb84_actions(m, b, padded=True),
+    "pcc": _pcc_actions,
+}
+
+# A bound step: the action, its (emission) event and its delivery event.
+_Step = tuple[_Action, Event, Event | None]
+
+# id(layout) -> (layout, per-agent geometry, bound steps by (mode, b))
+_GEOMETRY_CACHE: dict[int, tuple[ValidatedLayout, dict, dict]] = {}
+
+
+def _cached(vlayout: ValidatedLayout) -> tuple[dict[str, _AgentGeometry], dict]:
+    """The per-agent geometry and bound schedules of one layout object."""
     entry = _GEOMETRY_CACHE.get(id(vlayout))
-    if entry is not None and entry[0] is vlayout:
-        return entry[1]
-    geo = {a: _AgentGeometry(vlayout, a) for a in vlayout.layout.agents}
-    if len(_GEOMETRY_CACHE) > 16:
-        _GEOMETRY_CACHE.clear()
-    _GEOMETRY_CACHE[id(vlayout)] = (vlayout, geo)
-    return geo
+    if entry is None or entry[0] is not vlayout:
+        geo = {a: _AgentGeometry(vlayout, a) for a in vlayout.layout.agents}
+        if len(_GEOMETRY_CACHE) > 16:
+            _GEOMETRY_CACHE.clear()
+        entry = _GEOMETRY_CACHE[id(vlayout)] = (vlayout, geo, {})
+    return entry[1], entry[2]
 
 
-class _Sim:
-    """One scheduling context: agent cursors plus transcript accumulation."""
+def _bind_schedule(
+    geo: dict[str, _AgentGeometry], actions: Sequence[_Action]
+) -> tuple[_Step, ...]:
+    """Bind each action to the earliest vertex that satisfies its placements.
 
-    def __init__(self, config: ScotConfig, b: int, mode: str):
-        self.config = config
-        self.vlayout = config.layout
-        self.geo = _geometry(config.layout)
-        self.cursor = {a: 0 for a in config.layout.layout.agents}
-        self.transcript = Transcript(mode, config.m, config.n, b, config.layout)
-        self._seq = 0
+    An agent's actions bind in order, each at or after its previous one,
+    and a delivery also waits for the light cone of its emission.
+    """
+    cursor = dict.fromkeys(geo, 0)
 
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    def _bind(
-        self,
-        agent: str,
-        placements: tuple[Placement, ...],
-        after: Event | None = None,
-        action: str = "",
-    ) -> int:
-        geo = self.geo.get(agent)
-        if geo is None:
+    def bind(agent: str, placements, after: Event | None, what: str) -> Event:
+        g = geo.get(agent)
+        if g is None:
             raise SchedulingError(f"agent {agent!r} has no worldline")
-        ok = geo.mask(placements).copy()
-        k = self.cursor[agent]
-        if k > 0:
-            ok[:k] = False
+        ok = g.mask(placements)
+        ok[: cursor[agent]] = False
         if after is not None:
-            reach = (geo.ts - after.t) >= np.linalg.norm(
-                geo.xs - np.array(after.x), axis=1
-            )
-            ok &= reach
+            ok &= (g.ts - after.t) >= np.linalg.norm(g.xs - np.array(after.x), axis=1)
         idx = int(np.argmax(ok))
         if not ok[idx]:
-            raise SchedulingError(
-                f"no vertex on {agent!r} satisfies {action or placements}"
+            raise SchedulingError(f"no vertex on {agent!r} satisfies {what}")
+        cursor[agent] = idx
+        return g.events[idx]
+
+    steps = []
+    for act in actions:
+        if act.receiver is None:
+            steps.append((act, bind(act.agent, act.placement, None, act.kind), None))
+        else:
+            emit = bind(act.agent, act.placement, None, f"emit {act.kind}")
+            deliver = bind(act.receiver, act.deliver, emit, f"deliver {act.kind}")
+            steps.append((act, emit, deliver))
+    return tuple(steps)
+
+
+def _schedule(vlayout: ValidatedLayout, mode: str, b: int) -> tuple[_Step, ...]:
+    """The bound steps of ``mode`` for target ``b``, bound once per layout object.
+
+    Binding depends on nothing else, so every later run reuses it; an
+    infeasible layout raises :class:`SchedulingError` and caches nothing.
+    """
+    geo, schedules = _cached(vlayout)
+    steps = schedules.get((mode, b))
+    if steps is None:
+        steps = schedules[(mode, b)] = _bind_schedule(geo, _ACTIONS[mode](vlayout.m, b))
+    return steps
+
+
+def _transcript(
+    config: ScotConfig, b: int, steps: tuple[_Step, ...], payloads: Sequence[dict]
+) -> Transcript:
+    """One run's transcript: its payloads filled into the bound steps, in order."""
+    t = Transcript(config.mode, config.m, config.n, b, config.layout)
+    for seq, ((act, event, deliver), payload) in enumerate(
+        zip(steps, payloads, strict=True), 1
+    ):
+        if act.receiver is None:
+            t.local_ops.append(
+                LocalOp(act.agent, act.kind, payload, event, act.placement, seq)
             )
-        self.cursor[agent] = idx
-        return idx
-
-    def local(
-        self,
-        agent: str,
-        kind: str,
-        payload: dict | None = None,
-        placements: tuple[Placement, ...] = (),
-    ) -> Event:
-        idx = self._bind(agent, placements, action=kind)
-        event = self.geo[agent].events[idx]
-        self.transcript.local_ops.append(
-            LocalOp(agent, kind, payload or {}, event, placements, self._next_seq())
-        )
-        return event
-
-    def send(
-        self,
-        sender: str,
-        receiver: str,
-        kind: str,
-        payload: dict | None = None,
-        emit: tuple[Placement, ...] = (),
-        deliver: tuple[Placement, ...] = (),
-    ) -> Message:
-        ei = self._bind(sender, emit, action=f"emit {kind}")
-        emit_event = self.geo[sender].events[ei]
-        di = self._bind(receiver, deliver, after=emit_event, action=f"deliver {kind}")
-        msg = Message(
-            sender,
-            receiver,
-            kind,
-            payload or {},
-            emit_event,
-            self.geo[receiver].events[di],
-            emit,
-            deliver,
-            self._next_seq(),
-        )
-        self.transcript.messages.append(msg)
-        return msg
+        else:
+            t.messages.append(
+                Message(act.agent, act.receiver, act.kind, payload, event, deliver,
+                        act.placement, act.deliver, seq)
+            )
+    return t
 
 
 def _as_rng(rng) -> np.random.Generator:
@@ -418,34 +497,9 @@ def _check_x(config: ScotConfig, x) -> np.ndarray:
     return arr
 
 
-_IN_G = (Placement("in_g"),)
-
-
-_BB84: tuple | None = None
-
-
-def _bb84_tools():
-    global _BB84
-    if _BB84 is None:
-        fam = quantum.bb84_family()
-        meas = (quantum.basis_measurement(fam, 0), quantum.basis_measurement(fam, 1))
-        states = tuple(
-            tuple(quantum.PureState(fam.bases[si, ri], (2,)) for ri in range(2))
-            for si in range(2)
-        )
-        _BB84 = (fam, meas, states)
-    return _BB84
-
-
-def _measure_bb84(r: np.ndarray, s: np.ndarray, rng, flip_rate: float) -> np.ndarray:
-    """Measure each encoded qubit in its declared basis via the quantum module."""
-    _fam, meas, states = _bb84_tools()
-    out = np.empty(len(r), dtype=np.int64)
-    for j in range(len(r)):
-        out[j] = quantum.measure(states[int(s[j])][int(r[j])], meas[int(s[j])], rng).outcome
-    if flip_rate > 0.0:
-        out ^= (rng.random(len(out)) < flip_rate).astype(np.int64)
-    return out
+# psr and pqc send one qubit per round in one of the two BB84 bases, and
+# the receiver measures each in its own basis through this table.
+_BB84 = DqacmConfig(2, 1, quantum.bb84_family())
 
 
 def run_psr(config: ScotConfig, b: int, seed) -> Transcript:
@@ -455,41 +509,20 @@ def run_psr(config: ScotConfig, b: int, seed) -> Transcript:
     _check_b(config, b)
     rng = _as_rng(seed)
     m, n = config.m, config.n
-    sim = _Sim(config, b, "psr")
 
     r = rng.integers(0, 2, size=n)
     s = rng.integers(0, 2, size=n)
-    sim.local("A", "prepare", {"r": r.tolist(), "s": s.tolist()}, _IN_G)
-    sim.send(
-        "A", "B", "qubits", {"handle": "q0"}, emit=_IN_G, deliver=_IN_G
-    )
-    sim.local("B", "input_b", {"b": b}, _IN_G)
-    sim.send(
-        "B",
-        f"B{b}",
-        "qubits_forward",
+    steps = _schedule(config.layout, "psr", b)
+    r_meas = dqacm_mod.sample_slots(_BB84, s, s, r, rng, config.flip_rate)
+    t = _transcript(config, b, steps, [
+        {"r": r.tolist(), "s": s.tolist()},
         {"handle": "q0"},
-        emit=_IN_G,
-        deliver=(Placement("past_region", b),),
-    )
-    for i in range(m):
-        sim.send("A", f"A{i}", "basis_info", {"s": s.tolist()},
-                 deliver=(Placement("past_q", i),))
-    for i in range(m):
-        sim.send(
-            f"A{i}", f"B{i}", "handover", {"s": s.tolist()},
-            emit=(Placement("at_q", i),), deliver=(Placement("at_q", i),),
-        )
-    r_meas = _measure_bb84(r, s, rng, config.flip_rate)
-    sim.local(
-        f"B{b}", "measure", {"outcomes": r_meas.tolist()},
-        (Placement("in_region", b),),
-    )
-    sim.local(
-        f"B{b}", "output", {"value": r_meas.tolist()},
-        (Placement("in_region", b),),
-    )
-    t = sim.transcript
+        {"b": b},
+        {"handle": "q0"},
+        *({"s": s.tolist()} for _ in range(2 * m)),  # basis_info, handover
+        {"outcomes": r_meas.tolist()},
+        {"value": r_meas.tolist()},
+    ])
     t.outputs[b] = r_meas
     t.extra.update(
         {"r": r, "s": s, "quantum": {"q0": {"kind": "bb84", "r": r, "s": s}}}
@@ -505,45 +538,28 @@ def run_pqc(config: ScotConfig, x, b: int, seed) -> Transcript:
     x = _check_x(config, x)
     rng = _as_rng(seed)
     m, n = config.m, config.n
-    sim = _Sim(config, b, "pqc")
 
     r = rng.integers(0, 2, size=n)
     s = rng.integers(0, 2, size=n)
-    sim.local("A", "prepare", {"r": r.tolist(), "s": s.tolist()}, _IN_G)
-    sim.send("A", "B", "qubits", {"handle": "q0"}, emit=_IN_G, deliver=_IN_G)
-    sim.local("B", "input_b", {"b": b}, _IN_G)
-    sim.send(
-        "B",
-        f"B{b}",
-        "qubits_forward",
-        {"handle": "q0"},
-        emit=_IN_G,
-        deliver=(Placement("past_region", b),),
-    )
-    pads = np.empty((m, n), dtype=np.int64)
-    for i in range(m):
-        past_i = (Placement("past_q", i),)
-        sim.send("A", f"A{i}", "pad_info", {"r": r.tolist(), "s": s.tolist()},
-                 deliver=past_i)
-        sim.local(f"A{i}", "input_x", {"x": x[i].tolist()}, past_i)
-        pads[i] = x[i] ^ r
-        sim.local(f"A{i}", "compute_pad", {"t": pads[i].tolist()}, past_i)
-    for i in range(m):
-        sim.send(
-            f"A{i}", f"B{i}", "handover",
-            {"s": s.tolist(), "t": pads[i].tolist()},
-            emit=(Placement("at_q", i),), deliver=(Placement("at_q", i),),
-        )
-    r_meas = _measure_bb84(r, s, rng, config.flip_rate)
-    sim.local(
-        f"B{b}", "measure", {"outcomes": r_meas.tolist()},
-        (Placement("in_region", b),),
-    )
+    steps = _schedule(config.layout, "pqc", b)
+    pads = x ^ r
+    r_meas = dqacm_mod.sample_slots(_BB84, s, s, r, rng, config.flip_rate)
     out = r_meas ^ pads[b]
-    sim.local(
-        f"B{b}", "output", {"value": out.tolist()}, (Placement("in_region", b),)
-    )
-    t = sim.transcript
+    t = _transcript(config, b, steps, [
+        {"r": r.tolist(), "s": s.tolist()},
+        {"handle": "q0"},
+        {"b": b},
+        {"handle": "q0"},
+        *(  # pad_info, input_x, compute_pad
+            doc
+            for i in range(m)
+            for doc in ({"r": r.tolist(), "s": s.tolist()}, {"x": x[i].tolist()},
+                        {"t": pads[i].tolist()})
+        ),
+        *({"s": s.tolist(), "t": pads[i].tolist()} for i in range(m)),  # handover
+        {"outcomes": r_meas.tolist()},
+        {"value": out.tolist()},
+    ])
     t.outputs[b] = out
     t.extra.update(
         {
@@ -572,72 +588,43 @@ def run_pcc(config: ScotConfig, x, b: int, seed, c: int | None = None) -> Transc
     _check_b(config, b)
     x = _check_x(config, x)
     rng = _as_rng(seed)
-    m, n = config.m, config.n
+    m = config.m
     dq = config.dqacm
-    sim = _Sim(config, b, "pcc")
 
     inputs = dqacm_mod.sample_inputs(dq, rng)
     if c is None:
         c = int(rng.integers(0, m))
     if not 0 <= c < m:
         raise ConfigError(f"c={c} outside range({m})")
+    steps = _schedule(config.layout, "pcc", b)
+    record = dqacm_mod.stage1_honest(dq, inputs, c, rng, config.flip_rate)
+    b_prime = (b + c) % m
+    pads = inputs.r[(b_prime - np.arange(m)) % m] ^ x
+    row = dqacm_mod.decode(dq, c, record.d, inputs.s)
+    decoded = dict.fromkeys(range(m), row)
+    out = row ^ pads[b]
 
     inputs_doc = dqacm_mod.inputs_to_json(inputs)
-    sim.local("A", "prepare", inputs_doc, _IN_G)
-    sim.send("A", "B", "state", {"handle": "q0"}, emit=_IN_G, deliver=_IN_G)
-    sim.local("B", "input_c", {"c": c}, _IN_G)
-    record = dqacm_mod.stage1_honest(dq, inputs, c, rng, config.flip_rate)
     record_doc = dqacm_mod.record_to_json(record)
-    sim.local("B", "measure_all", record_doc, _IN_G)
-
-    for i in range(m):
-        sim.send(
-            "A", f"A{i}", "alice_info", inputs_doc,
-            deliver=(Placement("past_q", i),),
-        )
-    for i in range(m):
-        sim.send(
-            "B", f"B{i}", "bob_record", record_doc,
-            deliver=(Placement("past_q", i),),
-        )
-
-    sim.local("B", "input_b", {"b": b}, _IN_G)
-    b_prime = (b + c) % m
-    sim.send("B", "A", "basis_shift", {"b_prime": b_prime}, emit=_IN_G, deliver=_IN_G)
-    for i in range(m):
-        sim.send("B", f"B{i}", "target_index", {"b": b},
-                 deliver=(Placement("past_q", i),))
-    for i in range(m):
-        sim.send("A", f"A{i}", "shift_info", {"b_prime": b_prime},
-                 deliver=(Placement("past_q", i),))
-
-    pads = np.empty((m, n), dtype=np.int64)
-    for i in range(m):
-        past_i = (Placement("past_q", i),)
-        sim.local(f"A{i}", "input_x", {"x": x[i].tolist()}, past_i)
-        pads[i] = inputs.r[(b_prime - i) % m] ^ x[i]
-        sim.local(f"A{i}", "compute_pad", {"t": pads[i].tolist()}, past_i)
     s_doc = [list(p) for p in inputs.s]
-    for i in range(m):
-        sim.send(
-            f"A{i}", f"B{i}", "handover",
-            {"t": pads[i].tolist(), "s": s_doc},
-            emit=(Placement("at_q", i),), deliver=(Placement("at_q", i),),
-        )
-
-    # Every receiver agent can decode the committed row once s arrives;
-    # only the targeted one must do so inside its output region.
-    row = dqacm_mod.decode(dq, c, record.d, inputs.s)
-    decoded = {}
-    for i in range(m):
-        decoded[i] = row
-        placement = (Placement("in_region", i),) if i == b else ()
-        sim.local(f"B{i}", "decode", {"row": row.tolist()}, placement)
-    out = decoded[b] ^ pads[b]
-    sim.local(
-        f"B{b}", "output", {"value": out.tolist()}, (Placement("in_region", b),)
-    )
-    t = sim.transcript
+    t = _transcript(config, b, steps, [
+        inputs_doc,
+        {"handle": "q0"},
+        {"c": c},
+        record_doc,
+        *[inputs_doc] * m,  # alice_info
+        *[record_doc] * m,  # bob_record
+        {"b": b},
+        {"b_prime": b_prime},
+        *({"b": b} for _ in range(m)),  # target_index
+        *({"b_prime": b_prime} for _ in range(m)),  # shift_info
+        *(  # input_x, compute_pad
+            doc for i in range(m) for doc in ({"x": x[i].tolist()}, {"t": pads[i].tolist()})
+        ),
+        *({"t": pads[i].tolist(), "s": s_doc} for i in range(m)),  # handover
+        *({"row": row.tolist()} for _ in range(m)),  # decode
+        {"value": out.tolist()},
+    ])
     t.outputs[b] = out
     t.extra.update(
         {
@@ -678,22 +665,18 @@ def verify_transcript(
     requirements hold at the bound events.
     """
     vlayout = vlayout or transcript.layout
-    layout = vlayout.layout
+    geo, _ = _cached(vlayout)
     violations: list[dict] = []
-    agent_sequence: dict[str, list[Event]] = {}
 
     def on_worldline(agent: str, event: Event, what: str) -> None:
-        try:
-            verts = layout.worldline(agent)
-        except KeyError:
+        g = geo.get(agent)
+        if g is None:
             violations.append({"kind": "unknown_agent", "agent": agent, "at": what})
-            return
-        if event not in verts:
+        elif event not in g.vertices:
             violations.append(
                 {"kind": "event_off_worldline", "agent": agent, "at": what,
                  "event": [event.t, *event.x]}
             )
-        agent_sequence.setdefault(agent, []).append(event)
 
     def check_placements(
         placements: Sequence[Placement], event: Event, what: str

@@ -119,7 +119,8 @@ def planar_basis_family(m: int, thetas: Sequence[float]) -> BasisFamily:
     target = np.array([1.0, 0.0, 0.0, 1.0])
     for i in range(m):
         acc = sum(np.kron(bases[i, r].conj(), bases[i, r]) for r in range(2))
-        assert np.allclose(acc, target, atol=ORTHONORMALITY_TOL, rtol=0.0)
+        if not np.allclose(acc, target, atol=ORTHONORMALITY_TOL, rtol=0.0):
+            raise RuntimeError(f"basis {i} does not share the entangled state |00> + |11>")
     return fam
 
 

@@ -4,11 +4,16 @@ Lorentz boosts: the library itself never boosts anything; boosts exist
 only so the tests can check that the causal predicates are
 frame-independent.  A reference cheating-probability evaluator: slow
 and plainly correct, it pins the fast contraction kernel in
-``scotsim.adversary``.
+``scotsim.adversary``.  A runner for snippets under ``python -O``, where
+``assert`` statements are stripped, to show that invariants survive it.
 """
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 
@@ -96,3 +101,16 @@ def reference_cheat_probability(config, strategy, gamma: float = 0.0) -> float:
                     total += float(np.linalg.norm(joint[f0, f1] @ psi) ** 2)
             count += 1
     return total / count
+
+
+def run_optimized(body: str) -> subprocess.CompletedProcess:
+    """Run a Python snippet under ``python -O`` against this checkout's sources."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", textwrap.dedent(body)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )

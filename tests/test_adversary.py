@@ -23,7 +23,7 @@ from scotsim.adversary import (
 )
 from scotsim.dqacm import DqacmConfig, enumerate_permutations
 from scotsim.errors import CapacityError
-from scotsim.quantum import bb84_family, equal_spaced_family, planar_basis_family
+from scotsim.quantum import BasisFamily, bb84_family, equal_spaced_family, planar_basis_family
 
 BOUND_2_1 = 0.853553390593273762200422181052
 
@@ -217,6 +217,20 @@ class TestStrategyValidation:
         cfg = DqacmConfig(m=4, n=1, family=equal_spaced_family(4))
         with pytest.raises(CapacityError):
             honest_single_branch_strategy(cfg, (0, 1))
+
+    def test_qutrit_family_rejected(self, cfg21):
+        # DqacmConfig accepts any local dimension; the cheating game is for qubits.
+        qutrit = BasisFamily(np.stack([np.eye(3), np.eye(3)[::-1]]).astype(complex))
+        cfg = DqacmConfig(m=2, n=1, family=qutrit)
+        qubit_strategy = random_strategy(cfg21, (0, 1), rng=0)
+        calls = [
+            lambda: random_strategy(cfg, (0, 1), rng=0),
+            lambda: seesaw_optimize(cfg, (0, 1), iterations=1),
+            lambda: cheat_probability_exact(cfg, qubit_strategy),
+        ]
+        for call in calls:
+            with pytest.raises(CapacityError, match="qubit families only, got l=3"):
+                call()
 
 
 class TestSeesaw:

@@ -7,11 +7,13 @@ them at tolerances far above the double-rounding error.
 
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import run_optimized
 from scotsim.bounds import (
     BoundReport,
     binary_entropy,
@@ -230,3 +232,24 @@ class TestReport:
     def test_gamma_defaults_to_exact(self):
         rep = bound_report(3, 2, 0.75)
         assert rep.epsilon_gamma == rep.epsilon_exact
+
+    @pytest.mark.parametrize(
+        "exact, tolerant, message",
+        [(0.0, 0.5, "epsilon_exact=0.0 outside (0, 1]"),
+         (1.5, 1.5, "epsilon_exact=1.5 outside (0, 1]"),
+         (0.5, 0.25, "epsilon_gamma=0.25 below epsilon_exact=0.5")],
+    )
+    def test_rejects_inconsistent_rows(self, exact, tolerant, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            BoundReport(2, 1, 0.5, 0.0, exact, tolerant, 0.1)
+
+    def test_checks_survive_optimize(self):
+        res = run_optimized(
+            """
+            from scotsim.bounds import BoundReport
+            assert False  # stripped under -O
+            BoundReport(2, 1, 0.5, 0.0, 0.5, 0.25, 0.1)
+            """
+        )
+        assert res.returncode != 0
+        assert "epsilon_gamma=0.25 below epsilon_exact=0.5" in res.stderr

@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from scotsim import bounds
-from scotsim.cli import main
+from scotsim import bounds, protocol
+from scotsim.cli import EXIT_FAILED, main
 from scotsim.minkowski import Event, Layout, layout_to_json, validate_layout
 from scotsim.protocol import standard_layout
 
@@ -66,6 +66,15 @@ class TestRun:
         assert main(["run", "--mode", "psr", "--m", "2", "--n", "2", "--b", "0"]) == 0
         capsys.readouterr()
         assert (tmp_path / "envout" / "transcript.json").exists()
+
+    def test_failed_verification_exits_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(
+            protocol, "verify_transcript", lambda t: (False, [{"kind": "planted"}])
+        )
+        rc = main(["run", "--mode", "psr", "--m", "2", "--n", "2", "--b", "0",
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_FAILED == 1
+        assert "planted" in capsys.readouterr().err
 
     def test_layout_file(self, tmp_path, capsys):
         lay = standard_layout(2).layout
@@ -216,3 +225,14 @@ class TestVerify:
         assert any("procedure-equivalence" in ln for ln in lines)
         assert any("composed-shuffles-distinct" in ln for ln in lines)
         assert any("weight-counting-identity" in ln for ln in lines)
+
+    def test_failed_check_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(bounds, "count_omega", lambda m, n, omega: -1)
+        rc = main(
+            ["verify", "--m", "2", "--n", "1", "--draws", "1",
+             "--equiv-strategies", "1", "--probes", "1"]
+        )
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == EXIT_FAILED == 1
+        assert "FAIL  weight-counting-identity" in lines
+        assert sum(ln.startswith("PASS") for ln in lines) == 3

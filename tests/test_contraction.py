@@ -7,16 +7,12 @@ checked to reproduce the value, its memory is held under a stated peak,
 and the invariants of ``adversary`` are shown to hold under ``python -O``.
 """
 
-import os
-import subprocess
-import sys
-import textwrap
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import reference_cheat_probability
+from helpers import reference_cheat_probability, run_optimized
 from scotsim import adversary
 from scotsim.adversary import (
     Strategy,
@@ -140,21 +136,9 @@ def test_evaluation_memory_stays_per_shuffle(cfg32):
     assert peak < 8e6
 
 
-def _run_optimized(body: str) -> subprocess.CompletedProcess:
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    return subprocess.run(
-        [sys.executable, "-O", "-c", textwrap.dedent(body)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
-
-
 def test_omega_weight_guard_survives_optimize():
     # A composition that ignores the probe makes the two counts differ.
-    res = _run_optimized(
+    res = run_optimized(
         """
         from scotsim import adversary
         assert False  # stripped under -O
@@ -168,7 +152,7 @@ def test_omega_weight_guard_survives_optimize():
 
 def test_seesaw_monotone_guard_survives_optimize():
     # A kernel that turns NaN after the first pass breaks the trace.
-    res = _run_optimized(
+    res = run_optimized(
         """
         from scotsim import adversary, quantum
         from scotsim.dqacm import DqacmConfig

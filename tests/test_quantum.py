@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import run_optimized
 from scotsim.errors import CapacityError
 from scotsim.quantum import (
     BasisFamily,
@@ -73,6 +74,21 @@ class TestFamilies:
 
     def test_vector_accessor(self, bb84):
         assert np.allclose(bb84.vector(1, 1), [RT2, -RT2])
+
+    def test_shared_state_guard_survives_optimize(self):
+        # Doubling every Kronecker product breaks |00> + |11> and nothing else.
+        res = run_optimized(
+            """
+            import numpy as np
+            from scotsim import quantum
+            assert False  # stripped under -O
+            kron = np.kron
+            np.kron = lambda a, b: 2 * kron(a, b)
+            quantum.planar_basis_family(2, (1.0,))
+            """
+        )
+        assert res.returncode != 0
+        assert "basis 0 does not share the entangled state" in res.stderr
 
 
 class TestStates:
