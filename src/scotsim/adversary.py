@@ -15,6 +15,19 @@ pairwise projector exchanges driven by per-outcome score operators for
 each half, then a polar-decomposition update of the unitary.  Each
 step is individually non-decreasing, and guards revert any numerically
 regressive update, so the reported trace is monotone.
+
+The see-saw keeps each measurement as orthonormal column blocks, one
+(d, rank) block V_e per outcome with P_e = V_e V_e^dagger, and the
+kernel hands it score factors X_e rather than d x d score operators
+(S_e is proportional to X_e X_e^dagger).  An exchange of outcomes a and
+b therefore needs no d x d eigendecomposition: their joint range is
+spanned by [V_a V_b] as it stands, and only the compressed score
+difference on it is diagonalised.  Its eigenvalues above a relative
+tolerance (``_SPLIT_TOL`` times the largest magnitude) go to a and the
+rest to b, so rounding noise never decides on which side a zero
+eigenvalue falls, and results do not depend on the BLAS thread count.
+Projector stacks are rebuilt from the blocks for each kernel pass, and
+only the blocks are backed up for a revert.
 """
 
 from __future__ import annotations
@@ -60,6 +73,8 @@ __all__ = [
 
 MAX_N = 3
 _UNITARY_TOL = 1e-9
+# Relative eigenvalue cut of the see-saw's exchange split (_exchange_update).
+_SPLIT_TOL = 1e-10
 
 
 def _as_rng(rng) -> np.random.Generator:
@@ -75,6 +90,32 @@ def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+def _haar_column_blocks(
+    dim: int, n_outcomes: int, rng: np.random.Generator, ranks: Sequence[int] | None = None
+) -> tuple[np.ndarray, list[int]]:
+    """Column blocks of one Haar unitary, one block per outcome.
+
+    Default ranks split ``dim`` as evenly as possible over the outcomes,
+    so when ``dim < n_outcomes`` the surplus outcomes get rank 0.
+    Returns ``(cols, ranks)``: ``cols[k, :, :ranks[k]]`` are outcome k's
+    orthonormal columns, padded with zero columns to shape
+    (n_outcomes, dim, max rank) for stacked products.
+    """
+    if ranks is None:
+        base, rem = divmod(dim, n_outcomes)
+        ranks = [base + (1 if k < rem else 0) for k in range(n_outcomes)]
+    ranks = [int(x) for x in ranks]
+    if len(ranks) != n_outcomes or any(x < 0 for x in ranks) or sum(ranks) != dim:
+        raise ValueError(f"rank profile {ranks} does not resolve dimension {dim}")
+    u = _haar_unitary(dim, rng)
+    # Outcome k takes columns starts[k] .. starts[k] + ranks[k] - 1 of u.
+    starts = np.cumsum([0] + ranks[:-1])
+    offsets = np.arange(max(ranks))
+    take = offsets < np.asarray(ranks)[:, None]
+    cols = u[:, np.where(take, starts[:, None] + offsets, 0)] * take
+    return cols.transpose(1, 0, 2), ranks
+
+
 def random_measurement(
     dim: int, n_outcomes: int, rng, ranks: Sequence[int] | None = None
 ) -> ProjectiveMeasurement:
@@ -84,21 +125,7 @@ def random_measurement(
     when ``dim < n_outcomes`` the surplus outcomes get rank-0 (all-zero)
     projectors, which the game treats as outcomes never produced.
     """
-    rng = _as_rng(rng)
-    if ranks is None:
-        base, rem = divmod(dim, n_outcomes)
-        ranks = [base + (1 if k < rem else 0) for k in range(n_outcomes)]
-    ranks = [int(x) for x in ranks]
-    if len(ranks) != n_outcomes or any(x < 0 for x in ranks) or sum(ranks) != dim:
-        raise ValueError(f"rank profile {ranks} does not resolve dimension {dim}")
-    u = _haar_unitary(dim, rng)
-    # Outcome k takes columns starts[k] .. starts[k] + ranks[k] - 1 of u;
-    # shorter blocks are padded with zero columns for one stacked product.
-    starts = np.cumsum([0] + ranks[:-1])
-    offsets = np.arange(max(ranks))
-    take = offsets < np.asarray(ranks)[:, None]
-    cols = u[:, np.where(take, starts[:, None] + offsets, 0)] * take
-    cols = cols.transpose(1, 0, 2)
+    cols, _ = _haar_column_blocks(dim, n_outcomes, _as_rng(rng), ranks)
     return ProjectiveMeasurement(cols @ cols.conj().swapaxes(1, 2))
 
 
@@ -352,10 +379,16 @@ def _contract(
     (e0, e1) holds the K bit matrices decoding to (e0, e1), and the
     shuffle contributes <W, (P0[e0] x P1[e1]) W>.
 
-    Returns ``(value, stacks, grad)``.  ``value`` averages over shuffles
-    and bit matrices.  ``scores=b`` also returns branch b's per-shuffle
-    score stacks S with ``sum_e tr(P_e S_e) = value`` summed over
-    shuffles, ``grad=True`` the linear gradient G in the unitary with
+    Returns ``(value, score_factors, grad)``.  ``value`` averages over
+    shuffles and bit matrices.  ``scores=b`` (exact game only, no
+    ``ball``) also returns branch b's per-shuffle score factors X, shape
+    (E, d_b, d_other K): branch b's score operators are
+    ``S_e = norm X_e X_e^dagger`` with ``norm = 1 / (dim_a * shuffles)``,
+    and ``sum_e tr(P_e S_e) = value`` summed over shuffles.  The
+    see-saw's exchange (:func:`_exchange_update`) reads the factors as
+    they are; for branch 0 at the canonical m=3, n=2 split they are
+    (4, 64, 8), against (4, 64, 64) for the score operators.
+    ``grad=True`` gives the linear gradient G in the unitary with
     ``Re tr(U^dagger G) = value``; both are None when not asked for.
     """
     n_out, d_a = game.n_out, game.dim_a
@@ -376,30 +409,40 @@ def _contract(
     z_axes = tuple(np.argsort((2 + other, other, 2 + first, first, 4)))
     m_op = unitary.reshape(total, d_a, -1) @ chi
     value = 0.0
-    stacks = [] if scores is not None else None
+    score_factors = [] if scores is not None else None
     h = np.zeros((total, d_a), dtype=np.complex128) if grad else None
     for si in range(len(game.s_tuples)):
         enc = game.encoders[si][:, game.orders[si]]
         v = (m_op @ enc).reshape(factors + (n_out, n_out, k))
         w = v.transpose(perm + (nf, nf + 1, nf + 2)).reshape(dims + (n_out, n_out, k))
+        w = w.transpose(w_axes)  # (e_first, first, e_other, other, k)
         q = [np.asarray(p0[si]), np.asarray(p1[si])]
+        if score_factors is not None:
+            # X_e = sum_f P_first[f] W[f, e], one product over (f, first).
+            # The first branch's outcomes are mutually orthogonal, so the
+            # cross terms f != f' vanish from X_e X_e^dagger.
+            x = q[first].transpose(1, 0, 2).reshape(dims[first], -1)
+            x = x @ w.reshape(n_out * dims[first], -1)
+            x = x.reshape(dims[first], n_out, dims[other], k).transpose(1, 2, 0, 3)
+            x = x.reshape(n_out, dims[other], -1)
+            value += np.vdot(x, q[other] @ x).real
+            score_factors.append(x)
+            continue
         if ball is not None:
             q = [(ball @ p.reshape(n_out, -1)).reshape(p.shape) for p in q]
         # x: (e_first, first | e_other, other, k), then (e_other, other | rest)
-        x = q[first] @ w.transpose(w_axes).reshape(n_out, dims[first], -1)
+        x = q[first] @ w.reshape(n_out, dims[first], -1)
         x = x.reshape(n_out, dims[first], n_out, dims[other], k).transpose(2, 3, 0, 1, 4)
         x = x.reshape(n_out, dims[other], -1)
         z = q[other] @ x
         # <x, z> = <W, (P0 x P1) W> since P_first is an orthogonal projector
         value += np.vdot(x, z).real
-        if stacks is not None:
-            stacks.append(norm * (x @ x.conj().swapaxes(1, 2)))
         if h is not None:
             z_w = z.reshape(n_out, dims[other], n_out, dims[first], k).transpose(z_axes)
             z_f = z_w.reshape(perm_factors + (d_a,)).transpose(inv_perm + (nf,))
             h += z_f.reshape(total, d_a) @ enc.conj().T
     g = None if h is None else norm * (h[:, :, None] * chi.conj()).reshape(total, total)
-    return float(value) * norm, stacks, g
+    return float(value) * norm, score_factors, g
 
 
 def _evaluate(game: _Game, strategy: Strategy, ball: np.ndarray | None) -> float:
@@ -432,42 +475,37 @@ def cheat_probability_gamma(
     return _evaluate(game, strategy, game.ball_matrix(gamma))
 
 
-def _exchange_update(
-    projs: np.ndarray, scores: np.ndarray, sweeps: int = 1
-) -> np.ndarray:
-    """Pairwise projector exchanges toward larger ``sum_e tr(P_e S_e)``.
+def _exchange_update(blocks: list[np.ndarray], x: np.ndarray) -> list[np.ndarray]:
+    """One sweep of pairwise exchanges toward larger ``sum_e tr(P_e S_e)``.
 
-    Each pair keeps its joint subspace fixed and re-splits it along the
-    sign of the compressed score difference, the optimal two-outcome
-    split, so every exchange is non-decreasing.
+    ``blocks[e]`` holds outcome e's orthonormal columns V_e, so that
+    ``P_e = V_e V_e^dagger``, and ``x[e]`` its score factor X_e, so that
+    S_e is proportional to ``X_e X_e^dagger`` (see :func:`_contract`).
+    Each pair keeps its joint range, spanned by ``B = [V_a V_b]``, and
+    re-splits it along the sign of the compressed score difference
+    ``(B^dagger X_a)(B^dagger X_a)^dagger - (B^dagger X_b)(B^dagger X_b)^dagger``,
+    the optimal two-outcome split, so every exchange is non-decreasing.
+    Eigenvalues at or below ``_SPLIT_TOL`` times the largest magnitude
+    go to b: rounding never decides the side of a (near-)zero one.
     """
-    out = [p.copy() for p in projs]
-    k = len(out)
-    for _ in range(sweeps):
-        for a in range(k):
-            for b in range(a + 1, k):
-                q = out[a] + out[b]
-                w, vec = np.linalg.eigh(q)
-                keep = w > 0.5
-                if not keep.any():
-                    continue
-                basis = vec[:, keep]
-                delta = basis.conj().T @ (scores[a] - scores[b]) @ basis
-                delta = 0.5 * (delta + delta.conj().T)
-                w2, v2 = np.linalg.eigh(delta)
-                pos = v2[:, w2 > 0.0]
-                new_a = basis @ pos @ pos.conj().T @ basis.conj().T
-                new_b = q - new_a
-                out[a] = 0.5 * (new_a + new_a.conj().T)
-                out[b] = 0.5 * (new_b + new_b.conj().T)
-    return np.stack(out)
+    out = list(blocks)
+    for a in range(len(out)):
+        for b in range(a + 1, len(out)):
+            basis = np.concatenate((out[a], out[b]), axis=1)
+            if basis.shape[1] == 0:
+                continue
+            basis_h = basis.conj().T
+            ya, yb = basis_h @ x[a], basis_h @ x[b]
+            w, vec = np.linalg.eigh(ya @ ya.conj().T - yb @ yb.conj().T)
+            keep = w > _SPLIT_TOL * np.abs(w).max()
+            rotated = basis @ vec
+            out[a], out[b] = rotated[:, keep], rotated[:, ~keep]
+    return out
 
 
-def _exchange_all(projs: list[np.ndarray], scores: list[np.ndarray]) -> list[np.ndarray]:
-    """Exchange-update every shuffle's stack, reusing the score list for the result."""
-    for si, sc in enumerate(scores):
-        scores[si] = _exchange_update(projs[si], sc)
-    return scores
+def _projector_stack(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """The (E, d, d) projectors ``V_e V_e^dagger`` of column blocks."""
+    return np.stack([v @ v.conj().T for v in blocks])
 
 
 @dataclass(frozen=True, eq=False)
@@ -510,46 +548,47 @@ def seesaw_optimize(
     chi = np.zeros(ancilla_dim, dtype=np.complex128)
     chi[0] = 1.0
     unitary = _haar_unitary(total, rng)
-    p0s = []
-    p1s = []
+    # The measurement state: blocks[branch][si] lists each outcome's
+    # orthonormal columns.  projs holds the projector stacks the kernel
+    # reads, always rebuilt from the blocks; only blocks are backed up.
+    blocks = [[], []]
     for _ in game.s_tuples:
-        p0s.append(np.stack(random_measurement(d0, game.n_out, rng).projectors))
-        p1s.append(np.stack(random_measurement(d1, game.n_out, rng).projectors))
+        for branch, dim in ((0, d0), (1, d1)):
+            cols, ranks = _haar_column_blocks(dim, game.n_out, rng)
+            blocks[branch].append([cols[e, :, :r].copy() for e, r in enumerate(ranks)])
+    projs = [[_projector_stack(v) for v in per_shuffle] for per_shuffle in blocks]
+
+    def set_blocks(branch, new):
+        blocks[branch] = new
+        projs[branch] = None  # drop the old stacks before building new ones
+        projs[branch] = [_projector_stack(v) for v in new]
 
     def contract(**want):
-        return _contract(game, unitary, chi, factors, split, p0s, p1s, **want)
+        return _contract(game, unitary, chi, factors, split, *projs, **want)
 
     # Each pass that checks an update also yields what the next update
-    # needs: branch-1 scores, then the gradient, then branch-0 scores.
-    p, s0, _ = contract(scores=0)
+    # needs: branch-1 score factors, then the gradient, then branch-0's.
+    p, x, _ = contract(scores=0)
     trace = [p]
     converged = False
     for _ in range(iterations):
-        backup = p0s
-        p0s = _exchange_all(p0s, s0)
-        p_new, s1, _ = contract(scores=1)
-        if p_new < p - 1e-12:
-            p0s = backup
-            s1 = contract(scores=1)[1]
-        else:
-            p = p_new
-
-        backup = p1s
-        p1s = _exchange_all(p1s, s1)
-        p_new, _, grad = contract(grad=True)
-        if p_new < p - 1e-12:
-            p1s = backup
-            grad = contract(grad=True)[2]
-        else:
-            p = p_new
+        for branch, want in ((0, {"scores": 1}), (1, {"grad": True})):
+            backup = blocks[branch]
+            set_blocks(branch, [_exchange_update(v, xs) for v, xs in zip(backup, x)])
+            p_new, x, grad = contract(**want)
+            if p_new < p - 1e-12:
+                set_blocks(branch, backup)
+                _, x, grad = contract(**want)
+            else:
+                p = p_new
 
         u_backup = unitary
         uu, _sv, vh = np.linalg.svd(grad)
         unitary = uu @ vh
-        p_new, s0, _ = contract(scores=0)
+        p_new, x, _ = contract(scores=0)
         if p_new < p - 1e-12:
             unitary = u_backup
-            s0 = contract(scores=0)[1]
+            x = contract(scores=0)[1]
         else:
             p = p_new
 
@@ -562,8 +601,8 @@ def seesaw_optimize(
 
     measurements = {}
     for si, s in enumerate(game.s_tuples):
-        measurements[(0, s)] = ProjectiveMeasurement(p0s[si])
-        measurements[(1, s)] = ProjectiveMeasurement(p1s[si])
+        measurements[(0, s)] = ProjectiveMeasurement(projs[0][si])
+        measurements[(1, s)] = ProjectiveMeasurement(projs[1][si])
     strategy = Strategy(
         targets=targets,
         ancilla_dims=(ancilla_dim,),

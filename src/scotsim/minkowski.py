@@ -77,8 +77,8 @@ class Event:
 
 
 def _check_same_dim(a: Event, b: Event) -> None:
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    if len(a.x) != len(b.x):
+        raise ValueError(f"dimension mismatch: {len(a.x)} vs {len(b.x)}")
 
 
 def causally_precedes(a: Event, b: Event, eps: float = 0.0) -> bool:
@@ -90,7 +90,7 @@ def causally_precedes(a: Event, b: Event, eps: float = 0.0) -> bool:
     the default 0 is the exact relation.
     """
     _check_same_dim(a, b)
-    return (b.t - a.t) >= a.spatial_distance(b) - eps
+    return (b.t - a.t) >= math.dist(a.x, b.x) - eps
 
 
 def spacelike_separated(a: Event, b: Event, eps: float = 0.0) -> bool:
@@ -101,7 +101,7 @@ def spacelike_separated(a: Event, b: Event, eps: float = 0.0) -> bool:
     complement of causal precedence in either direction.
     """
     _check_same_dim(a, b)
-    return abs(b.t - a.t) < a.spatial_distance(b) - eps
+    return abs(b.t - a.t) < math.dist(a.x, b.x) - eps
 
 
 def interval_squared(a: Event, b: Event) -> float:

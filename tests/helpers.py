@@ -4,8 +4,10 @@ Lorentz boosts: the library itself never boosts anything; boosts exist
 only so the tests can check that the causal predicates are
 frame-independent.  A reference cheating-probability evaluator: slow
 and plainly correct, it pins the fast contraction kernel in
-``scotsim.adversary``.  A runner for snippets under ``python -O``, where
-``assert`` statements are stripped, to show that invariants survive it.
+``scotsim.adversary``, and a projector-form exchange pins the see-saw's
+column-block exchange.  A runner for snippets in a fresh interpreter,
+under ``python -O`` (where ``assert`` statements are stripped, to show
+that invariants survive it) or under a chosen environment.
 """
 
 import itertools
@@ -103,14 +105,48 @@ def reference_cheat_probability(config, strategy, gamma: float = 0.0) -> float:
     return total / count
 
 
-def run_optimized(body: str) -> subprocess.CompletedProcess:
-    """Run a Python snippet under ``python -O`` against this checkout's sources."""
+def reference_exchange_update(projs, scores, split_tol: float):
+    """Projector-form pairwise exchange sweep, the see-saw's plain reference.
+
+    For each outcome pair (a, b) it finds the joint range of ``P_a + P_b``
+    by a full ``eigh``, compresses ``S_a - S_b`` onto it, and gives
+    ``P_a`` the span of the eigenvectors whose eigenvalue exceeds
+    ``split_tol`` times the largest magnitude; ``P_b`` keeps the rest of
+    the joint range.  Returns the new (E, d, d) projector stack.
+    """
+    out = [np.array(p, dtype=np.complex128) for p in projs]
+    for a in range(len(out)):
+        for b in range(a + 1, len(out)):
+            joint = out[a] + out[b]
+            w, vec = np.linalg.eigh(joint)
+            basis = vec[:, w > 0.5]
+            if basis.shape[1] == 0:
+                continue
+            delta = basis.conj().T @ (scores[a] - scores[b]) @ basis
+            w2, v2 = np.linalg.eigh(0.5 * (delta + delta.conj().T))
+            pos = basis @ v2[:, w2 > split_tol * np.abs(w2).max()]
+            out[a] = pos @ pos.conj().T
+            out[b] = joint - out[a]
+    return np.stack(out)
+
+
+def run_python(body: str, *flags: str, env=None) -> subprocess.CompletedProcess:
+    """Run a Python snippet in a fresh interpreter against this checkout's sources.
+
+    ``flags`` go to the interpreter (``-O``); ``env`` adds or overrides
+    environment variables, such as a BLAS thread count.
+    """
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    full_env = dict(os.environ, **(env or {}), PYTHONPATH=os.path.abspath(src))
     return subprocess.run(
-        [sys.executable, "-O", "-c", textwrap.dedent(body)],
+        [sys.executable, *flags, "-c", textwrap.dedent(body)],
         capture_output=True,
         text=True,
-        env=env,
+        env=full_env,
         timeout=120,
     )
+
+
+def run_optimized(body: str) -> subprocess.CompletedProcess:
+    """Run a Python snippet under ``python -O``, where ``assert`` is stripped."""
+    return run_python(body, "-O")

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import run_python
 from scotsim import adversary, bounds, quantum
 from scotsim.adversary import (
     Strategy,
@@ -136,6 +137,43 @@ class TestRandomStrategies:
         assert strategy_hash(a) == strategy_hash(b)
         assert strategy_hash(a) != strategy_hash(c)
 
+    def test_draws_match_recorded_digests(self):
+        # sha256 over strategy_hash of 25 draws per grid shape, and over the
+        # raw projector bytes of random_measurement draws (rank-0 outcomes
+        # at dim < 4), recorded before the see-saw moved to column blocks.
+        # One BLAS thread: at m=3, n=2 the rounded 128-dim unitary differs
+        # in some last digits between thread counts.
+        res = run_python(
+            """
+            import hashlib
+            import numpy as np
+            from scotsim.adversary import random_measurement, random_strategy, strategy_hash
+            from scotsim.dqacm import DqacmConfig
+            from scotsim.quantum import equal_spaced_family
+            for m, n in [(2, 1), (2, 2), (3, 1), (3, 2)]:
+                cfg = DqacmConfig(m=m, n=n, family=equal_spaced_family(m))
+                h = hashlib.sha256()
+                for seed in range(25):
+                    h.update(strategy_hash(random_strategy(cfg, (0, 1), rng=seed)).encode())
+                print(h.hexdigest())
+            h = hashlib.sha256()
+            for dim, n_out in [(2, 4), (3, 2), (8, 4), (64, 4)]:
+                for seed in range(3):
+                    for p in random_measurement(dim, n_out, seed).projectors:
+                        h.update(np.asarray(p).tobytes())
+            print(h.hexdigest())
+            """,
+            env={"OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == [
+            "deddee57ec1981afb5f3948eb9f039a0ac13313aec92afaa5e68f8872401b3f4",
+            "338f939e5d35dda05a6b5b6f73375e4de3ad88090af9e593ebef54b84c6feec6",
+            "ddace1ff92bd9e872e5ab8983bb812f6eb18a1d063263c82494d09e6330da757",
+            "80b91c773ab398887265762ca86628539cbf3b00cc65676c0dc5e767137e6c90",
+            "4445fcb53a464217a12435b77d1b4c0c7808d62d378ea4e362824e53e1730db5",
+        ]
+
     def test_evaluations_stay_sound(self, cfg21):
         bound = bounds.epsilon_bob(2, 0.5, 1)
         for seed in range(30):
@@ -245,6 +283,11 @@ class TestSeesaw:
     def test_result_strategy_is_consistent(self, cfg21):
         res = seesaw_optimize(cfg21, (0, 1), iterations=40, seed=1)
         again = cheat_probability_exact(cfg21, res.strategy)
+        assert again == pytest.approx(res.p_exact, abs=1e-12)
+
+    def test_result_strategy_is_consistent_m3n2(self, cfg32):
+        res = seesaw_optimize(cfg32, (0, 1), iterations=2, seed=0, tol=-1)
+        again = cheat_probability_exact(cfg32, res.strategy)
         assert again == pytest.approx(res.p_exact, abs=1e-12)
 
     def test_deterministic_per_seed(self, cfg21):

@@ -2,7 +2,7 @@
 
 ``_contract`` evaluates every strategy, scores the see-saw's measurement
 updates and gives its unitary gradient.  Here it is pinned against the
-Born-rule evaluator in ``helpers``, its score stacks and gradient are
+Born-rule evaluator in ``helpers``, its score factors and gradient are
 checked to reproduce the value, its memory is held under a stated peak,
 and the invariants of ``adversary`` are shown to hold under ``python -O``.
 """
@@ -90,8 +90,13 @@ def test_scores_and_gradient_reproduce_the_value(m, n):
     cfg, strategies = _strategies(m, n)
     for strat in strategies[:3]:
         (value, _, _), p0, p1 = _run_kernel(cfg, strat)
-        for branch, projs in ((0, p0), (1, p1)):
-            (v, stacks, _), _, _ = _run_kernel(cfg, strat, scores=branch)
+        game = adversary._game_for(cfg, strat.targets)
+        norm = 1.0 / (game.dim_a * len(game.s_tuples))
+        k = game.dim_a // game.n_out**2
+        for branch, projs, d_other in ((0, p0, strat.d1), (1, p1, strat.d0)):
+            (v, factors, _), _, _ = _run_kernel(cfg, strat, scores=branch)
+            assert factors[0].shape == projs[0].shape[:2] + (d_other * k,)
+            stacks = [norm * (x @ x.conj().swapaxes(1, 2)) for x in factors]
             traced = sum(np.einsum("eab,eba->", p, sc).real for p, sc in zip(projs, stacks))
             assert v == pytest.approx(value, abs=PIN)
             assert traced == pytest.approx(value, abs=PIN)
@@ -160,9 +165,9 @@ def test_seesaw_monotone_guard_survives_optimize():
         kernel = adversary._contract
         calls = []
         def broken(*args, **kwargs):
-            value, stacks, grad = kernel(*args, **kwargs)
+            value, factors, grad = kernel(*args, **kwargs)
             calls.append(value)
-            return (value if len(calls) == 1 else float("nan")), stacks, grad
+            return (value if len(calls) == 1 else float("nan")), factors, grad
         adversary._contract = broken
         cfg = DqacmConfig(2, 1, quantum.bb84_family())
         adversary.seesaw_optimize(cfg, (0, 1), iterations=3)

@@ -59,8 +59,10 @@ class TestEvent:
         assert a.spatial_distance(b) == pytest.approx(5.0)
 
     def test_mixed_dims_rejected(self):
-        with pytest.raises(ValueError):
-            causally_precedes(Event(0.0, 0.0), Event(1.0, (0.0, 0.0)))
+        a, b = Event(0.0, 0.0), Event(1.0, (0.0, 0.0))
+        for check in (causally_precedes, spacelike_separated, Event.spatial_distance):
+            with pytest.raises(ValueError, match="dimension mismatch: 1 vs 2"):
+                check(a, b)
 
 
 class TestPredicates:
