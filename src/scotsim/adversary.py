@@ -45,6 +45,7 @@ from .errors import CapacityError
 from .quantum import (
     MAX_TOTAL_DIM,
     ProjectiveMeasurement,
+    _as_rng,
     overlap_lambda,
     prepare_product_state,
     spectral_norm,
@@ -75,12 +76,6 @@ MAX_N = 3
 _UNITARY_TOL = 1e-9
 # Relative eigenvalue cut of the see-saw's exchange split (_exchange_update).
 _SPLIT_TOL = 1e-10
-
-
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
 
 
 def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -924,6 +919,8 @@ def random_branching_strategy(
     game = _game_for(config, targets)
     mn = config.m * config.n
     total = game.dim_a * ancilla_dim
+    if total > MAX_TOTAL_DIM:
+        raise CapacityError(f"strategy dimension {total} exceeds {MAX_TOTAL_DIM}")
     n_gamma = config.m**2 * (config.m - 1)
     chi = rng.standard_normal(ancilla_dim) + 1j * rng.standard_normal(ancilla_dim)
     chi /= np.linalg.norm(chi)

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import quantum
-from .quantum import BasisFamily, PureState, planar_basis_family
+from .quantum import BasisFamily, PureState, _as_rng, planar_basis_family
 
 __all__ = [
     "DqacmConfig",
@@ -41,12 +41,6 @@ __all__ = [
 ]
 
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 @dataclass(eq=False)
 class DqacmConfig:
     """Parameters of one delegated-measurement instance.
@@ -60,7 +54,7 @@ class DqacmConfig:
     n: int
     family: BasisFamily
     gamma: float = 0.0
-    _slot_cdf: np.ndarray | None = field(default=None, repr=False)
+    _slot_cdf: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.m < 2:

@@ -7,13 +7,16 @@ causal past of a handover point, exactly at a handover point, inside an
 output region).  The scheduler binds each action to the earliest
 worldline vertex at or after the agent's previous action that satisfies
 the requirements, and message delivery additionally waits for the light
-cone of the emission vertex.  A run therefore fails loudly, with
-:class:`SchedulingError`, when the declared geometry cannot support the
-protocol's information flow.  Binding depends only on the layout, the
-protocol and the target region b, never on the random data, so each
-such schedule is bound once per layout object; a run only draws its
-data, measures every qubit in one vectorised pass
-(:func:`scotsim.dqacm.sample_slots`) and fills the payloads in.
+cone of the emission vertex.  It tests each vertex with the same
+predicates :func:`verify_transcript` applies (:func:`placement_satisfied`
+and :func:`scotsim.minkowski.causally_precedes`), so every schedule it
+binds verifies.  A run fails loudly, with :class:`SchedulingError`,
+when the declared geometry cannot support the protocol's information
+flow.  Binding depends only on the layout, the protocol and the target
+region b, never on the random data, so each such schedule is bound
+once per layout object; a run only draws its data, measures every
+qubit in one vectorised pass (:func:`scotsim.dqacm.sample_slots`) and
+fills the payloads in.
 
 The runners:
 
@@ -61,6 +64,7 @@ from .minkowski import (
     in_region_g,
     validate_layout,
 )
+from .quantum import _as_rng
 
 __all__ = [
     "Placement",
@@ -195,7 +199,7 @@ def standard_layout(m: int, dim: int = 1, hub: int | None = None) -> ValidatedLa
         if not 0 <= hub < m:
             raise ConfigError(f"hub={hub} outside range({m})")
         hub_pos = spots[hub].copy()
-    horizon = max(float(np.linalg.norm(hub_pos - p)) for p in spots)
+    horizon = max(math.dist(hub_pos, p) for p in spots)
     t_q = float(math.ceil(horizon) + 25)
 
     regions = []
@@ -259,49 +263,6 @@ def placement_satisfied(
             for e in layout.regions[placement.index].events
         )
     raise ValueError(f"unknown placement kind {placement.kind!r}")
-
-
-class _AgentGeometry:
-    """Vectorized per-agent vertex data, placement masks and vertex set."""
-
-    def __init__(self, vlayout: ValidatedLayout, agent: str):
-        layout = vlayout.layout
-        verts = layout.worldline(agent)
-        self.events = verts
-        self.vertices = frozenset(verts)
-        self.ts = np.array([v.t for v in verts])
-        self.xs = np.array([v.x for v in verts])
-        m = layout.m
-        q_ts = np.array([q.t for q in layout.q_points])
-        q_xs = np.array([q.x for q in layout.q_points])
-        # dist[i, k]: spatial distance from vertex k to handover point i
-        dist = np.linalg.norm(q_xs[:, None, :] - self.xs[None, :, :], axis=2)
-        past_q = (q_ts[:, None] - self.ts[None, :]) >= dist
-        self.masks: dict[tuple[str, int | None], np.ndarray] = {}
-        self.masks[("in_g", None)] = past_q.all(axis=0)
-        for i in range(m):
-            self.masks[("past_q", i)] = past_q[i]
-            self.masks[("at_q", i)] = np.array(
-                [v == layout.q_points[i] for v in verts]
-            )
-            region = layout.regions[i]
-            lo, hi = region.bounds()
-            coords = np.concatenate([self.ts[:, None], self.xs], axis=1)
-            self.masks[("in_region", i)] = (
-                (coords >= np.array(lo)) & (coords <= np.array(hi))
-            ).all(axis=1)
-            ev_ts = np.array([e.t for e in region.events])
-            ev_xs = np.array([e.x for e in region.events])
-            d = np.linalg.norm(ev_xs[:, None, :] - self.xs[None, :, :], axis=2)
-            self.masks[("past_region", i)] = (
-                (ev_ts[:, None] - self.ts[None, :]) >= d
-            ).any(axis=0)
-
-    def mask(self, placements: Sequence[Placement]) -> np.ndarray:
-        out = np.ones(len(self.ts), dtype=bool)
-        for p in placements:
-            out &= self.masks[(p.kind, p.index)]
-        return out
 
 
 @dataclass(frozen=True)
@@ -392,44 +353,45 @@ _ACTIONS = {
 # A bound step: the action, its (emission) event and its delivery event.
 _Step = tuple[_Action, Event, Event | None]
 
-# id(layout) -> (layout, per-agent geometry, bound steps by (mode, b))
+# id(layout) -> (layout, per-agent vertex sets, bound steps by (mode, b))
 _GEOMETRY_CACHE: dict[int, tuple[ValidatedLayout, dict, dict]] = {}
 
 
-def _cached(vlayout: ValidatedLayout) -> tuple[dict[str, _AgentGeometry], dict]:
-    """The per-agent geometry and bound schedules of one layout object."""
+def _cached(vlayout: ValidatedLayout) -> tuple[dict[str, frozenset[Event]], dict]:
+    """Each agent's worldline vertex set and the bound schedules of a layout."""
     entry = _GEOMETRY_CACHE.get(id(vlayout))
     if entry is None or entry[0] is not vlayout:
-        geo = {a: _AgentGeometry(vlayout, a) for a in vlayout.layout.agents}
+        vertices = {name: frozenset(verts) for name, verts in vlayout.layout.worldlines}
         if len(_GEOMETRY_CACHE) > 16:
             _GEOMETRY_CACHE.clear()
-        entry = _GEOMETRY_CACHE[id(vlayout)] = (vlayout, geo, {})
+        entry = _GEOMETRY_CACHE[id(vlayout)] = (vlayout, vertices, {})
     return entry[1], entry[2]
 
 
 def _bind_schedule(
-    geo: dict[str, _AgentGeometry], actions: Sequence[_Action]
+    vlayout: ValidatedLayout, actions: Sequence[_Action]
 ) -> tuple[_Step, ...]:
-    """Bind each action to the earliest vertex that satisfies its placements.
+    """Bind each action to the earliest vertex that passes :func:`verify_transcript`.
 
     An agent's actions bind in order, each at or after its previous one,
-    and a delivery also waits for the light cone of its emission.
+    to a vertex where every placement is satisfied; a delivery also
+    needs its emission to causally precede it.
     """
-    cursor = dict.fromkeys(geo, 0)
+    lines = dict(vlayout.layout.worldlines)
+    cursor = dict.fromkeys(lines, 0)
 
     def bind(agent: str, placements, after: Event | None, what: str) -> Event:
-        g = geo.get(agent)
-        if g is None:
+        verts = lines.get(agent)
+        if verts is None:
             raise SchedulingError(f"agent {agent!r} has no worldline")
-        ok = g.mask(placements)
-        ok[: cursor[agent]] = False
-        if after is not None:
-            ok &= (g.ts - after.t) >= np.linalg.norm(g.xs - np.array(after.x), axis=1)
-        idx = int(np.argmax(ok))
-        if not ok[idx]:
-            raise SchedulingError(f"no vertex on {agent!r} satisfies {what}")
-        cursor[agent] = idx
-        return g.events[idx]
+        for k in range(cursor[agent], len(verts)):
+            v = verts[k]
+            if all(placement_satisfied(vlayout, p, v) for p in placements) and (
+                after is None or causally_precedes(after, v)
+            ):
+                cursor[agent] = k
+                return v
+        raise SchedulingError(f"no vertex on {agent!r} satisfies {what}")
 
     steps = []
     for act in actions:
@@ -448,10 +410,10 @@ def _schedule(vlayout: ValidatedLayout, mode: str, b: int) -> tuple[_Step, ...]:
     Binding depends on nothing else, so every later run reuses it; an
     infeasible layout raises :class:`SchedulingError` and caches nothing.
     """
-    geo, schedules = _cached(vlayout)
+    _, schedules = _cached(vlayout)
     steps = schedules.get((mode, b))
     if steps is None:
-        steps = schedules[(mode, b)] = _bind_schedule(geo, _ACTIONS[mode](vlayout.m, b))
+        steps = schedules[(mode, b)] = _bind_schedule(vlayout, _ACTIONS[mode](vlayout.m, b))
     return steps
 
 
@@ -473,12 +435,6 @@ def _transcript(
                         act.placement, act.deliver, seq)
             )
     return t
-
-
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
 
 
 def _check_b(config: ScotConfig, b: int) -> None:
@@ -524,9 +480,7 @@ def run_psr(config: ScotConfig, b: int, seed) -> Transcript:
         {"value": r_meas.tolist()},
     ])
     t.outputs[b] = r_meas
-    t.extra.update(
-        {"r": r, "s": s, "quantum": {"q0": {"kind": "bb84", "r": r, "s": s}}}
-    )
+    t.extra.update({"r": r, "s": s})
     return t
 
 
@@ -561,15 +515,7 @@ def run_pqc(config: ScotConfig, x, b: int, seed) -> Transcript:
         {"value": out.tolist()},
     ])
     t.outputs[b] = out
-    t.extra.update(
-        {
-            "r": r,
-            "s": s,
-            "x": x,
-            "pads": pads,
-            "quantum": {"q0": {"kind": "bb84", "r": r, "s": s}},
-        }
-    )
+    t.extra.update({"r": r, "s": s, "x": x, "pads": pads})
     return t
 
 
@@ -636,7 +582,6 @@ def run_pcc(config: ScotConfig, x, b: int, seed, c: int | None = None) -> Transc
             "b_prime": b_prime,
             "record": record,
             "decoded": decoded,
-            "quantum": {"q0": {"kind": "dqacm", "inputs": inputs}},
         }
     )
     return t
@@ -665,14 +610,14 @@ def verify_transcript(
     requirements hold at the bound events.
     """
     vlayout = vlayout or transcript.layout
-    geo, _ = _cached(vlayout)
+    vertices, _ = _cached(vlayout)
     violations: list[dict] = []
 
     def on_worldline(agent: str, event: Event, what: str) -> None:
-        g = geo.get(agent)
-        if g is None:
+        verts = vertices.get(agent)
+        if verts is None:
             violations.append({"kind": "unknown_agent", "agent": agent, "at": what})
-        elif event not in g.vertices:
+        elif event not in verts:
             violations.append(
                 {"kind": "event_off_worldline", "agent": agent, "at": what,
                  "event": [event.t, *event.x]}
@@ -838,6 +783,6 @@ def transcript_to_json(t: Transcript) -> dict:
         "extra": {
             k: _jsonable(v)
             for k, v in t.extra.items()
-            if k not in ("quantum", "record", "decoded")
+            if k not in ("record", "decoded")
         },
     }

@@ -242,9 +242,13 @@ class TestStrategyValidation:
                 qudit_count=good.qudit_count,
             )
 
-    def test_capacity_cap(self, cfg21):
+    def test_capacity_cap(self, cfg21, bb84):
         with pytest.raises(CapacityError):
             random_strategy(cfg21, (0, 1), ancilla_dim=2048, rng=0)
+        # 64 * 128 dimensions: refused before any Haar draw
+        cfg23 = DqacmConfig(m=2, n=3, family=bb84)
+        with pytest.raises(CapacityError, match="8192"):
+            random_branching_strategy(cfg23, (0, 1), ancilla_dim=128, rng=0)
 
     def test_round_cap(self, bb84):
         cfg = DqacmConfig(m=2, n=4, family=bb84)

@@ -123,6 +123,16 @@ class TestRun:
         assert rc == 3
         capsys.readouterr()
 
+    def test_light_cone_edge_layout_exits_3(self, edge_layout, tmp_path, capsys):
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(layout_to_json(edge_layout.layout)))
+        rc = main(
+            ["run", "--mode", "pcc", "--m", "2", "--n", "2", "--b", "0",
+             "--layout", str(path), "--out", str(tmp_path)]
+        )
+        assert rc == 3
+        assert "no vertex on 'A' satisfies prepare" in capsys.readouterr().err
+
 
 class TestBounds:
     def test_csv_grid(self, capsys):

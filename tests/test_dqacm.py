@@ -45,6 +45,13 @@ class TestConfig:
         # cross-basis BB84 slots are unbiased
         assert np.allclose(cdf[0, 1, 0], [0.5, 1.0])
 
+    def test_slot_table_is_not_an_argument(self, bb84):
+        table = np.ones((2, 2, 2, 2))
+        with pytest.raises(TypeError):
+            DqacmConfig(2, 4, bb84, 0.0, table)
+        with pytest.raises(TypeError):
+            DqacmConfig(m=2, n=4, family=bb84, _slot_cdf=table)
+
 
 class TestPermutations:
     def test_lexicographic(self):

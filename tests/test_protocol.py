@@ -297,6 +297,16 @@ class TestScheduling:
         with pytest.raises(SchedulingError):
             run_psr(cfg, 0, 0)
 
+    @pytest.mark.parametrize("mode", protocol.MODES)
+    def test_binder_agrees_with_verifier_at_the_light_cone(self, mode, edge_layout):
+        # numpy's norm puts A's t=0 vertex on the edge of G, math.dist one
+        # ulp outside it: the binder must refuse what verification rejects.
+        origin = edge_layout.layout.worldline("A")[0]
+        assert not placement_satisfied(edge_layout, Placement("in_g"), origin)
+        cfg = scot_config(mode, 2, 2, edge_layout)
+        with pytest.raises(SchedulingError, match="no vertex on 'A' satisfies prepare"):
+            TestScheduleBinding._run(cfg, 0, 0)
+
 
 class TestAudit:
     def test_psr_pqc_no_return_traffic(self, layout2, rng):
