@@ -16,18 +16,23 @@ each half, then a polar-decomposition update of the unitary.  Each
 step is individually non-decreasing, and guards revert any numerically
 regressive update, so the reported trace is monotone.
 
-The see-saw keeps each measurement as orthonormal column blocks, one
-(d, rank) block V_e per outcome with P_e = V_e V_e^dagger, and the
-kernel hands it score factors X_e rather than d x d score operators
-(S_e is proportional to X_e X_e^dagger).  An exchange of outcomes a and
-b therefore needs no d x d eigendecomposition: their joint range is
-spanned by [V_a V_b] as it stands, and only the compressed score
-difference on it is diagonalised.  Its eigenvalues above a relative
-tolerance (``_SPLIT_TOL`` times the largest magnitude) go to a and the
-rest to b, so rounding noise never decides on which side a zero
-eigenvalue falls, and results do not depend on the BLAS thread count.
-Projector stacks are rebuilt from the blocks for each kernel pass, and
-only the blocks are backed up for a revert.
+Every measurement is built from orthonormal column blocks, one (d, rank)
+block V_e per outcome with P_e = V_e V_e^dagger (see
+:class:`~scotsim.quantum.ProjectiveMeasurement`): Haar draws hand over
+column slices of one Haar unitary, the closed-form strategies Kronecker
+products of basis columns and identities.  The see-saw keeps the blocks
+as its state, and the kernel hands it score factors X_e rather than
+d x d score operators (S_e is proportional to X_e X_e^dagger).  An
+exchange of outcomes a and b therefore needs no d x d
+eigendecomposition: their joint range is spanned by [V_a V_b] as it
+stands, and only the compressed score difference on it is diagonalised.
+Its eigenvalues above a relative tolerance (``_SPLIT_TOL`` times the
+largest magnitude) go to a and the rest to b, so rounding noise never
+decides on which side a zero eigenvalue falls, and results do not depend
+on the BLAS thread count.  Projector stacks are rebuilt from the blocks
+by :func:`~scotsim.quantum.block_projectors` for each kernel pass, only
+the blocks are backed up for a revert, and the final blocks become the
+result's measurements.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from .quantum import (
     MAX_TOTAL_DIM,
     ProjectiveMeasurement,
     _as_rng,
+    block_projectors,
     overlap_lambda,
     prepare_product_state,
     spectral_norm,
@@ -87,14 +93,12 @@ def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def _haar_column_blocks(
     dim: int, n_outcomes: int, rng: np.random.Generator, ranks: Sequence[int] | None = None
-) -> tuple[np.ndarray, list[int]]:
-    """Column blocks of one Haar unitary, one block per outcome.
+) -> list[np.ndarray]:
+    """Column blocks of one Haar unitary, one (dim, rank) block per outcome.
 
-    Default ranks split ``dim`` as evenly as possible over the outcomes,
-    so when ``dim < n_outcomes`` the surplus outcomes get rank 0.
-    Returns ``(cols, ranks)``: ``cols[k, :, :ranks[k]]`` are outcome k's
-    orthonormal columns, padded with zero columns to shape
-    (n_outcomes, dim, max rank) for stacked products.
+    Outcome k takes the next ``ranks[k]`` columns.  Default ranks split
+    ``dim`` as evenly as possible over the outcomes, so when
+    ``dim < n_outcomes`` the surplus outcomes get rank 0.
     """
     if ranks is None:
         base, rem = divmod(dim, n_outcomes)
@@ -102,13 +106,7 @@ def _haar_column_blocks(
     ranks = [int(x) for x in ranks]
     if len(ranks) != n_outcomes or any(x < 0 for x in ranks) or sum(ranks) != dim:
         raise ValueError(f"rank profile {ranks} does not resolve dimension {dim}")
-    u = _haar_unitary(dim, rng)
-    # Outcome k takes columns starts[k] .. starts[k] + ranks[k] - 1 of u.
-    starts = np.cumsum([0] + ranks[:-1])
-    offsets = np.arange(max(ranks))
-    take = offsets < np.asarray(ranks)[:, None]
-    cols = u[:, np.where(take, starts[:, None] + offsets, 0)] * take
-    return cols.transpose(1, 0, 2), ranks
+    return np.split(_haar_unitary(dim, rng), np.cumsum(ranks[:-1]), axis=1)
 
 
 def random_measurement(
@@ -120,8 +118,7 @@ def random_measurement(
     when ``dim < n_outcomes`` the surplus outcomes get rank-0 (all-zero)
     projectors, which the game treats as outcomes never produced.
     """
-    cols, _ = _haar_column_blocks(dim, n_outcomes, _as_rng(rng), ranks)
-    return ProjectiveMeasurement(cols @ cols.conj().swapaxes(1, 2))
+    return ProjectiveMeasurement(_haar_column_blocks(dim, n_outcomes, _as_rng(rng), ranks))
 
 
 def compose_shuffles(
@@ -248,8 +245,70 @@ def _game_for(config: DqacmConfig, targets: tuple[int, int]) -> _Game:
     return game
 
 
+class _SplitSystem:
+    """The tensor layout and pre-processing shared by both strategy kinds.
+
+    The factors are ``qudit_count`` message qudits of dimension
+    ``local_dim`` followed by the ancilla factors; ``split`` partitions
+    them into the branch-0 and branch-1 subsystems of dimensions d0 and
+    d1.  ``unitary`` acts on all factors once the ancilla is prepared in
+    ``ancilla_state``.
+    """
+
+    def _set_layout(self, ancilla_dims, ancilla_state, unitary, split, qudit_count, local_dim):
+        ancilla_dims = tuple(int(d) for d in ancilla_dims)
+        chi = np.asarray(ancilla_state, dtype=np.complex128).reshape(-1)
+        if chi.size != math.prod(ancilla_dims):
+            raise ValueError("ancilla state does not match ancilla_dims")
+        if abs(np.linalg.norm(chi) - 1.0) > 1e-10:
+            raise ValueError("ancilla state must be normalized")
+        u = np.asarray(unitary, dtype=np.complex128)
+        total = local_dim**qudit_count * math.prod(ancilla_dims)
+        if total > MAX_TOTAL_DIM:
+            raise CapacityError(f"strategy dimension {total} exceeds {MAX_TOTAL_DIM}")
+        if u.shape != (total, total):
+            raise ValueError(f"unitary shape {u.shape} does not match dimension {total}")
+        if not np.allclose(
+            u.conj().T @ u, np.eye(total), atol=_UNITARY_TOL, rtol=0.0
+        ):
+            raise ValueError("strategy unitary fails the unitarity check")
+        idx0 = tuple(int(i) for i in split[0])
+        idx1 = tuple(int(i) for i in split[1])
+        if sorted(idx0 + idx1) != list(range(qudit_count + len(ancilla_dims))):
+            raise ValueError("split must partition all tensor factors")
+        chi.setflags(write=False)
+        u.setflags(write=False)
+        object.__setattr__(self, "ancilla_dims", ancilla_dims)
+        object.__setattr__(self, "ancilla_state", chi)
+        object.__setattr__(self, "unitary", u)
+        object.__setattr__(self, "split", (idx0, idx1))
+        object.__setattr__(self, "qudit_count", int(qudit_count))
+        object.__setattr__(self, "local_dim", int(local_dim))
+
+    @staticmethod
+    def _check_dim(what: str, pm: ProjectiveMeasurement, want: int) -> None:
+        if pm.dim != want:
+            raise ValueError(f"{what} measurement has dim {pm.dim}, want {want}")
+
+    @property
+    def factors(self) -> tuple[int, ...]:
+        return (self.local_dim,) * self.qudit_count + self.ancilla_dims
+
+    @property
+    def d0(self) -> int:
+        return math.prod(self.factors[i] for i in self.split[0])
+
+    @property
+    def d1(self) -> int:
+        return math.prod(self.factors[i] for i in self.split[1])
+
+    @property
+    def total_dim(self) -> int:
+        return math.prod(self.factors)
+
+
 @dataclass(frozen=True, eq=False)
-class Strategy:
+class Strategy(_SplitSystem):
     """A two-branch cheating strategy.
 
     ``split`` partitions the tensor factors (m*n message qudits followed
@@ -279,61 +338,12 @@ class Strategy:
         qudit_count,
         local_dim=2,
     ):
-        targets = (int(targets[0]), int(targets[1]))
-        ancilla_dims = tuple(int(d) for d in ancilla_dims)
-        chi = np.asarray(ancilla_state, dtype=np.complex128).reshape(-1)
-        if chi.size != math.prod(ancilla_dims):
-            raise ValueError("ancilla state does not match ancilla_dims")
-        if abs(np.linalg.norm(chi) - 1.0) > 1e-10:
-            raise ValueError("ancilla state must be normalized")
-        u = np.asarray(unitary, dtype=np.complex128)
-        total = local_dim**qudit_count * math.prod(ancilla_dims)
-        if total > MAX_TOTAL_DIM:
-            raise CapacityError(f"strategy dimension {total} exceeds {MAX_TOTAL_DIM}")
-        if u.shape != (total, total):
-            raise ValueError(f"unitary shape {u.shape} does not match dimension {total}")
-        if not np.allclose(
-            u.conj().T @ u, np.eye(total), atol=_UNITARY_TOL, rtol=0.0
-        ):
-            raise ValueError("strategy unitary fails the unitarity check")
-        factors = (local_dim,) * qudit_count + ancilla_dims
-        idx0 = tuple(int(i) for i in split[0])
-        idx1 = tuple(int(i) for i in split[1])
-        if sorted(idx0 + idx1) != list(range(len(factors))):
-            raise ValueError("split must partition all tensor factors")
-        d0 = math.prod(factors[i] for i in idx0)
-        d1 = math.prod(factors[i] for i in idx1)
+        self._set_layout(ancilla_dims, ancilla_state, unitary, split, qudit_count, local_dim)
         meas = dict(measurements)
         for (branch, _s), pm in meas.items():
-            want = d0 if branch == 0 else d1
-            if pm.dim != want:
-                raise ValueError(f"branch {branch} measurement has dim {pm.dim}, want {want}")
-        chi.setflags(write=False)
-        u.setflags(write=False)
-        object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "ancilla_dims", ancilla_dims)
-        object.__setattr__(self, "ancilla_state", chi)
-        object.__setattr__(self, "unitary", u)
-        object.__setattr__(self, "split", (idx0, idx1))
+            self._check_dim(f"branch {branch}", pm, self.d1 if branch else self.d0)
+        object.__setattr__(self, "targets", (int(targets[0]), int(targets[1])))
         object.__setattr__(self, "measurements", meas)
-        object.__setattr__(self, "qudit_count", int(qudit_count))
-        object.__setattr__(self, "local_dim", int(local_dim))
-
-    @property
-    def factors(self) -> tuple[int, ...]:
-        return (self.local_dim,) * self.qudit_count + self.ancilla_dims
-
-    @property
-    def d0(self) -> int:
-        return math.prod(self.factors[i] for i in self.split[0])
-
-    @property
-    def d1(self) -> int:
-        return math.prod(self.factors[i] for i in self.split[1])
-
-    @property
-    def total_dim(self) -> int:
-        return math.prod(self.factors)
 
 
 def _permute_rows(mat: np.ndarray, factors: Sequence[int], perm: Sequence[int]) -> np.ndarray:
@@ -411,7 +421,7 @@ def _contract(
         v = (m_op @ enc).reshape(factors + (n_out, n_out, k))
         w = v.transpose(perm + (nf, nf + 1, nf + 2)).reshape(dims + (n_out, n_out, k))
         w = w.transpose(w_axes)  # (e_first, first, e_other, other, k)
-        q = [np.asarray(p0[si]), np.asarray(p1[si])]
+        q = [p0[si], p1[si]]
         if score_factors is not None:
             # X_e = sum_f P_first[f] W[f, e], one product over (f, first).
             # The first branch's outcomes are mutually orthogonal, so the
@@ -498,11 +508,6 @@ def _exchange_update(blocks: list[np.ndarray], x: np.ndarray) -> list[np.ndarray
     return out
 
 
-def _projector_stack(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    """The (E, d, d) projectors ``V_e V_e^dagger`` of column blocks."""
-    return np.stack([v @ v.conj().T for v in blocks])
-
-
 @dataclass(frozen=True, eq=False)
 class SeesawResult:
     strategy: Strategy
@@ -549,14 +554,13 @@ def seesaw_optimize(
     blocks = [[], []]
     for _ in game.s_tuples:
         for branch, dim in ((0, d0), (1, d1)):
-            cols, ranks = _haar_column_blocks(dim, game.n_out, rng)
-            blocks[branch].append([cols[e, :, :r].copy() for e, r in enumerate(ranks)])
-    projs = [[_projector_stack(v) for v in per_shuffle] for per_shuffle in blocks]
+            blocks[branch].append(_haar_column_blocks(dim, game.n_out, rng))
+    projs = [[block_projectors(v) for v in per_shuffle] for per_shuffle in blocks]
 
     def set_blocks(branch, new):
         blocks[branch] = new
         projs[branch] = None  # drop the old stacks before building new ones
-        projs[branch] = [_projector_stack(v) for v in new]
+        projs[branch] = [block_projectors(v) for v in new]
 
     def contract(**want):
         return _contract(game, unitary, chi, factors, split, *projs, **want)
@@ -594,10 +598,11 @@ def seesaw_optimize(
             converged = True
             break
 
+    projs = None  # free the kernel's stacks before the measurements build theirs
     measurements = {}
     for si, s in enumerate(game.s_tuples):
-        measurements[(0, s)] = ProjectiveMeasurement(projs[0][si])
-        measurements[(1, s)] = ProjectiveMeasurement(projs[1][si])
+        measurements[(0, s)] = ProjectiveMeasurement(blocks[0][si])
+        measurements[(1, s)] = ProjectiveMeasurement(blocks[1][si])
     strategy = Strategy(
         targets=targets,
         ancilla_dims=(ancilla_dim,),
@@ -657,27 +662,25 @@ def random_strategy(
     )
 
 
-def _decode_projectors(config: DqacmConfig, basis_idx: int, s, target: int) -> list[np.ndarray]:
-    """Product measurement reading the target row off the decode slots.
+def _decode_blocks(config: DqacmConfig, vectors: np.ndarray, s, target: int) -> list[np.ndarray]:
+    """Column blocks of the product measurement reading the target row.
 
-    Outcome e projects the decode slot of round j onto basis vector
-    ``e_j`` of ``basis_idx`` and leaves every other slot untouched.
+    Outcome e projects the decode slot ``s[j][target]`` of round j onto
+    ``vectors[e_j]`` (a row of an orthonormal basis) and leaves every
+    other slot untouched, so its block is a Kronecker product of that
+    vector as a column and identities.
     """
     m, n, l = config.m, config.n, config.l
     eye = np.eye(l, dtype=np.complex128)
-    projs = []
+    blocks = []
     for e in range(l**n):
-        p = np.ones((1, 1), dtype=np.complex128)
+        v = np.ones((1, 1), dtype=np.complex128)
         for j in range(n):
             bit = (e >> (n - 1 - j)) & 1
             for pos in range(m):
-                if pos == s[j][target]:
-                    v = config.family.bases[basis_idx, bit]
-                    p = np.kron(p, np.outer(v, v.conj()))
-                else:
-                    p = np.kron(p, eye)
-        projs.append(p)
-    return projs
+                v = np.kron(v, vectors[bit][:, None] if pos == s[j][target] else eye)
+        blocks.append(v)
+    return blocks
 
 
 def honest_single_branch_strategy(
@@ -691,13 +694,13 @@ def honest_single_branch_strategy(
     game = _game_for(config, targets)
     mn = config.m * config.n
     measurements = {}
-    guess = [np.zeros((1, 1), dtype=np.complex128) for _ in range(game.n_out)]
-    guess[0] = np.ones((1, 1), dtype=np.complex128)
+    guess = ProjectiveMeasurement([np.ones((1, 1))] + [np.zeros((1, 0))] * (game.n_out - 1))
+    vectors = config.family.bases[targets[0]]
     for s in game.s_tuples:
         measurements[(0, s)] = ProjectiveMeasurement(
-            _decode_projectors(config, targets[0], s, targets[0])
+            _decode_blocks(config, vectors, s, targets[0])
         )
-        measurements[(1, s)] = ProjectiveMeasurement(guess)
+        measurements[(1, s)] = guess
     return Strategy(
         targets=targets,
         ancilla_dims=(1,),
@@ -720,8 +723,7 @@ def intercept_strategy(config: DqacmConfig, targets: tuple[int, int]) -> Strateg
     """
     game = _game_for(config, targets)
     l0, l1 = targets
-    m, n, l = config.m, config.n, config.l
-    mn = m * n
+    l, mn = config.l, config.m * config.n
     total = l ** (2 * mn)
     if total > MAX_TOTAL_DIM:
         raise CapacityError(f"intercept dimension {total} exceeds {MAX_TOTAL_DIM}")
@@ -745,25 +747,10 @@ def intercept_strategy(config: DqacmConfig, targets: tuple[int, int]) -> Strateg
     unitary = _permute_rows(unitary, (l,) * (2 * mn), np.argsort(interleaved))
     unitary = _permute_rows(unitary.conj().T, (l,) * (2 * mn), np.argsort(interleaved)).conj().T
 
-    eye = np.eye(l, dtype=np.complex128)
-    comp = np.eye(l, dtype=np.complex128)
     measurements = {}
     for s in game.s_tuples:
-        measurements[(0, s)] = ProjectiveMeasurement(
-            _decode_projectors(config, l0, s, l0)
-        )
-        projs1 = []
-        for e in range(game.n_out):
-            p = np.ones((1, 1), dtype=np.complex128)
-            for j in range(n):
-                bit = (e >> (n - 1 - j)) & 1
-                for pos in range(m):
-                    if pos == s[j][l1]:
-                        p = np.kron(p, np.outer(comp[bit], comp[bit].conj()))
-                    else:
-                        p = np.kron(p, eye)
-            projs1.append(p)
-        measurements[(1, s)] = ProjectiveMeasurement(projs1)
+        measurements[(0, s)] = ProjectiveMeasurement(_decode_blocks(config, b, s, l0))
+        measurements[(1, s)] = ProjectiveMeasurement(_decode_blocks(config, np.eye(l), s, l1))
     chi = np.zeros(l**mn)
     chi[0] = 1.0
     return Strategy(
@@ -817,10 +804,8 @@ def verify_sandwich_norm(
         raise ValueError("measurements must have l**n outcomes")
     if meas0.dim != n_out or meas1.dim != n_out:
         raise ValueError("branch spaces must have dimension l**n")
-    for pm in (meas0, meas1):
-        for p in pm.projectors:
-            if abs(np.trace(p).real - 1.0) > 1e-9:
-                raise ValueError("measurements must be rank-1")
+    if set(meas0.ranks + meas1.ranks) != {1}:
+        raise ValueError("measurements must be rank-1")
 
     sv = compose_shuffles(s, v)
     omega = omega_weight(v, l0, l1, s)
@@ -838,12 +823,8 @@ def verify_sandwich_norm(
     for e in range(n_out):
         cols0 = b_s[:, game.e0[si] == e]
         cols1 = b_sv[:, game.e1[svi] == e]
-        proj0 += np.kron(
-            cols0 @ cols0.conj().T, np.kron(np.asarray(meas0.projectors[e]), eye1)
-        )
-        proj1 += np.kron(
-            cols1 @ cols1.conj().T, np.kron(eye0, np.asarray(meas1.projectors[e]))
-        )
+        proj0 += np.kron(cols0 @ cols0.conj().T, np.kron(meas0.projectors[e], eye1))
+        proj1 += np.kron(cols1 @ cols1.conj().T, np.kron(eye0, meas1.projectors[e]))
 
     sandwich = spectral_norm(proj0 @ proj1 @ proj0)
     product = spectral_norm(proj0 @ proj1)
@@ -853,7 +834,7 @@ def verify_sandwich_norm(
 
 
 @dataclass(frozen=True, eq=False)
-class BranchingStrategy:
+class BranchingStrategy(_SplitSystem):
     """A strategy whose branches act only after a shared branching measurement.
 
     The branching measurement has one outcome per element of the
@@ -882,30 +863,14 @@ class BranchingStrategy:
         qudit_count,
         local_dim=2,
     ):
+        self._set_layout(ancilla_dims, ancilla_state, unitary, split, qudit_count, local_dim)
+        self._check_dim("intermediate", intermediate, self.total_dim)
+        conditioned = dict(conditioned)
+        for g, (m0, m1) in conditioned.items():
+            self._check_dim(f"outcome {g} branch 0", m0, self.d0)
+            self._check_dim(f"outcome {g} branch 1", m1, self.d1)
         object.__setattr__(self, "intermediate", intermediate)
-        object.__setattr__(self, "conditioned", dict(conditioned))
-        u = np.asarray(unitary, dtype=np.complex128)
-        object.__setattr__(self, "unitary", u)
-        object.__setattr__(self, "ancilla_dims", tuple(int(d) for d in ancilla_dims))
-        chi = np.asarray(ancilla_state, dtype=np.complex128).reshape(-1)
-        object.__setattr__(self, "ancilla_state", chi)
-        object.__setattr__(
-            self, "split", (tuple(split[0]), tuple(split[1]))
-        )
-        object.__setattr__(self, "qudit_count", int(qudit_count))
-        object.__setattr__(self, "local_dim", int(local_dim))
-
-    @property
-    def factors(self) -> tuple[int, ...]:
-        return (self.local_dim,) * self.qudit_count + self.ancilla_dims
-
-    @property
-    def d0(self) -> int:
-        return math.prod(self.factors[i] for i in self.split[0])
-
-    @property
-    def d1(self) -> int:
-        return math.prod(self.factors[i] for i in self.split[1])
+        object.__setattr__(self, "conditioned", conditioned)
 
 
 def random_branching_strategy(
@@ -979,16 +944,13 @@ def verify_procedure_equivalence(
         y = strategy.unitary @ psi
         yp = _permute_rows(y.reshape(-1, 1), strategy.factors, perm).reshape(-1)
 
-        blocks = [
-            (np.asarray(rg) @ yp).reshape(d0, d1)
-            for rg in strategy.intermediate.projectors
-        ]
+        blocks = [(rg @ yp).reshape(d0, d1) for rg in strategy.intermediate.projectors]
 
         p1 = np.zeros((n_out, n_out))
         for g, z in enumerate(blocks):
             m0, m1 = strategy.conditioned[g]
             for e0 in range(n_out):
-                t = np.asarray(m0.projectors[e0]) @ z
+                t = m0.projectors[e0] @ z
                 for e1 in range(n_out):
                     w = t @ np.asarray(m1.projectors[e1]).T
                     p1[e0, e1] += float(np.sum(np.abs(w) ** 2))
@@ -1001,12 +963,12 @@ def verify_procedure_equivalence(
         for e0 in range(n_out):
             a = np.zeros_like(rec)
             for g0 in range(n_gamma):
-                m0 = np.asarray(strategy.conditioned[g0][0].projectors[e0])
+                m0 = strategy.conditioned[g0][0].projectors[e0]
                 a[:, :, :, g0, :] = np.tensordot(m0, rec[:, :, :, g0, :], axes=(1, 0))
             for e1 in range(n_out):
                 b = np.zeros_like(a)
                 for g1 in range(n_gamma):
-                    m1 = np.asarray(strategy.conditioned[g1][1].projectors[e1])
+                    m1 = strategy.conditioned[g1][1].projectors[e1]
                     b[:, :, :, :, g1] = np.moveaxis(
                         np.tensordot(m1, a[:, :, :, :, g1], axes=(1, 1)), 0, 1
                     )

@@ -17,7 +17,6 @@ __all__ = [
     "epsilon_bob_gamma",
     "gamma_threshold",
     "count_omega",
-    "hamming_ball_size",
     "BoundReport",
     "bound_report",
 ]
@@ -121,19 +120,6 @@ def count_omega(m: int, n: int, omega: int) -> int:
     hit = math.factorial(m - 1)
     miss = math.factorial(m) - hit
     return math.comb(n, omega) * hit**omega * miss ** (n - omega)
-
-
-def hamming_ball_size(n: int, gamma: float) -> int:
-    """Number of n-bit strings with weight at most ``floor(n * gamma)``.
-
-    For gamma at most 1/2 this is bounded by ``2 ** (n h(gamma))``.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma={gamma} outside [0, 1]")
-    radius = math.floor(n * gamma)
-    return sum(math.comb(n, w) for w in range(radius + 1))
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,13 @@ basis-overlap noise that never leaves the record's unused positions.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import quantum
-from .quantum import BasisFamily, PureState, _as_rng, planar_basis_family
+from .quantum import BasisFamily, PureState, _as_rng
 
 __all__ = [
     "DqacmConfig",
@@ -31,13 +30,8 @@ __all__ = [
     "sample_slots",
     "stage1_honest",
     "decode",
-    "k_stage1_honest",
-    "config_to_json",
-    "config_from_json",
     "inputs_to_json",
-    "inputs_from_json",
     "record_to_json",
-    "record_from_json",
 ]
 
 
@@ -229,78 +223,9 @@ def decode(
     return np.array([d[s[j][c], j] for j in range(config.n)], dtype=np.int64)
 
 
-def k_stage1_honest(
-    config: DqacmConfig,
-    k: int,
-    inputs: AliceInputs,
-    c_list: Sequence[int],
-    rng,
-    flip_rate: float = 0.0,
-) -> list[BobRecord]:
-    """Measure k independent copies of the same published state.
-
-    Copy t is measured wholly in basis ``c_list[t]``.  The basis choices
-    must be distinct and k must stay below m; with k = m - 1 copies a
-    receiver still learns at most k rows.
-    """
-    if not 1 <= k < config.m:
-        raise ValueError(f"k={k} outside 1..{config.m - 1}")
-    if len(c_list) != k:
-        raise ValueError(f"need {k} basis choices, got {len(c_list)}")
-    if len(set(int(c) for c in c_list)) != k:
-        raise ValueError("basis choices must be distinct")
-    rng = _as_rng(rng)
-    return [stage1_honest(config, inputs, int(c), rng, flip_rate) for c in c_list]
-
-
-def _planar_angles(family: BasisFamily) -> tuple[float, ...]:
-    """Recover constructor angles from a planar family, or fail loudly."""
-    if family.l != 2:
-        raise ValueError("only qubit families have planar angles")
-    out = []
-    for i in range(1, family.m):
-        v = family.bases[i, 0]
-        if np.max(np.abs(v.imag)) > 1e-12:
-            raise ValueError("family is not planar")
-        theta = 2.0 * math.atan2(float(v[1].real), float(v[0].real))
-        out.append(theta)
-    rebuilt = planar_basis_family(family.m, out)
-    if not np.allclose(rebuilt.bases, family.bases, atol=1e-10, rtol=0.0):
-        raise ValueError("family is not planar")
-    return tuple(out)
-
-
-def config_to_json(config: DqacmConfig) -> dict:
-    return {
-        "m": config.m,
-        "n": config.n,
-        "theta": list(_planar_angles(config.family)),
-        "gamma": config.gamma,
-    }
-
-
-def config_from_json(doc: Mapping) -> DqacmConfig:
-    try:
-        m = int(doc["m"])
-        n = int(doc["n"])
-        thetas = tuple(float(t) for t in doc["theta"])
-        gamma = float(doc.get("gamma", 0.0))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed config document: {exc!r}") from exc
-    return DqacmConfig(m, n, planar_basis_family(m, thetas), gamma)
-
-
 def inputs_to_json(inputs: AliceInputs) -> dict:
     return {"r": inputs.r.tolist(), "s": [list(p) for p in inputs.s]}
 
 
-def inputs_from_json(doc: Mapping) -> AliceInputs:
-    return AliceInputs(doc["r"], doc["s"])
-
-
 def record_to_json(record: BobRecord) -> dict:
     return {"c": record.c, "d": record.d.tolist()}
-
-
-def record_from_json(doc: Mapping) -> BobRecord:
-    return BobRecord(doc["c"], doc["d"])

@@ -4,8 +4,11 @@ The protocols encode classical bits into slot-wise product states drawn
 from a family of local bases.  This module provides the planar basis
 family constructors, product-state preparation under round-wise
 position permutations, Born-rule measurement of whole states or chosen
-subsystems, and a couple of dense linear-algebra helpers.  Everything
-is dense numpy; preparation is capped at 2**12 total dimensions.
+subsystems, and a couple of dense linear-algebra helpers.  Every
+projective measurement is built from one block of orthonormal columns
+per outcome and checked once, by a single Gram matrix; its projectors
+come from :func:`block_projectors`.  Everything is dense numpy;
+preparation is capped at 2**12 total dimensions.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ __all__ = [
     "equal_spaced_family",
     "overlap_lambda",
     "prepare_product_state",
+    "block_projectors",
     "basis_measurement",
     "measure",
     "full_distribution",
@@ -214,64 +218,67 @@ def prepare_product_state(
     return PureState(vec, (l,) * (m * n))
 
 
-# Above this dimension the orthogonality check loops over pairs: stacked
-# pairwise products of large projectors cost more time and memory.
-_BATCH_PAIRS_MAX_DIM = 32
+def block_projectors(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """The (E, d, d) projectors ``V_e V_e^dagger`` of (d, r_e) column blocks.
 
-
-def _within_tol(diff: np.ndarray) -> np.ndarray:
-    """Whether every entry of each trailing matrix is within ``PROJECTOR_TOL`` of zero."""
-    return (np.abs(diff) <= PROJECTOR_TOL).all(axis=(-2, -1))
+    The blocks are zero-padded to a common width and multiplied in one
+    stacked product.  The padding also fixes the rounding: OpenBLAS can
+    round a rank-1 block's product in the last bit differently on its
+    own than beside wider blocks, and the recorded measurement digests
+    pin the padded form.
+    """
+    d, width = blocks[0].shape[0], max(v.shape[1] for v in blocks)
+    cols = np.zeros((len(blocks), d, width), dtype=np.complex128)
+    for e, v in enumerate(blocks):
+        cols[e, :, : v.shape[1]] = v
+    return cols @ cols.conj().swapaxes(1, 2)
 
 
 @dataclass(frozen=True, eq=False)
 class ProjectiveMeasurement:
-    """A complete family of mutually orthogonal projectors.
+    """A complete projective measurement given by orthonormal column blocks.
 
+    Outcome e is a (d, r_e) block ``V_e`` of orthonormal columns with
+    projector ``P_e = V_e V_e^dagger``; a rank-0 outcome is a (d, 0)
+    block.  One check runs at construction: the blocks side by side form
+    a d x d matrix V with ``V^dagger V = I`` within ``PROJECTOR_TOL``.
+    That makes every P_e Hermitian and idempotent, the P_e mutually
+    orthogonal, and their sum the identity.  ``projectors`` is the
+    read-only (E, d, d) stack of the P_e and ``ranks`` lists the r_e.
     ``subsystems`` restricts the action to the listed tensor factors of
-    the measured state (None means the whole space).  Projector checks
-    (hermiticity, idempotence, orthogonality, completeness) run at
-    construction with tolerance ``PROJECTOR_TOL``.
+    the measured state (None means the whole space).
     """
 
-    projectors: tuple[np.ndarray, ...]
+    projectors: np.ndarray
+    ranks: tuple[int, ...]
     subsystems: tuple[int, ...] | None = None
 
-    def __init__(self, projectors, subsystems=None) -> None:
-        projs = [np.asarray(p, dtype=np.complex128) for p in projectors]
-        if not projs:
+    def __init__(self, blocks, subsystems=None) -> None:
+        blocks = [np.asarray(v, dtype=np.complex128) for v in blocks]
+        if not blocks:
             raise ValueError("measurement needs at least one outcome")
-        d = projs[0].shape[0]
-        if any(p.shape != (d, d) for p in projs):
-            raise ValueError("projectors must share one square shape")
-        # A stacked array is checked and kept as given, without a copy.
-        if isinstance(projectors, np.ndarray):
-            stack = projectors.astype(np.complex128, copy=False)
-        else:
-            stack = np.stack(projs)
-        herm = _within_tol(stack - stack.conj().swapaxes(1, 2))
-        idem = _within_tol(stack @ stack - stack)
-        bad = np.flatnonzero(~(herm & idem))
-        if bad.size:
-            k = int(bad[0])
-            what = "Hermitian" if not herm[k] else "idempotent"
-            raise ValueError(f"projector {k} is not {what}")
-        if not _within_tol(stack.sum(axis=0) - np.eye(d)):
-            raise ValueError("projectors do not sum to the identity")
-        if d <= _BATCH_PAIRS_MAX_DIM:
-            first, second = np.triu_indices(len(projs), 1)
-            bad = np.flatnonzero(~_within_tol(stack[first] @ stack[second]))
-            if bad.size:
-                a, b = int(first[bad[0]]), int(second[bad[0]])
-                raise ValueError(f"projectors {a} and {b} are not orthogonal")
-        else:
-            for a in range(len(projs)):
-                for b in range(a + 1, len(projs)):
-                    if not _within_tol(stack[a] @ stack[b]):
-                        raise ValueError(f"projectors {a} and {b} are not orthogonal")
-        stack.setflags(write=False)
-        projs = tuple(stack)
-        object.__setattr__(self, "projectors", projs)
+        if any(v.ndim != 2 for v in blocks):
+            raise ValueError("each outcome needs a (d, rank) block of columns")
+        d = blocks[0].shape[0]
+        for e, v in enumerate(blocks):
+            if v.shape[0] != d:
+                raise ValueError(f"block {e} has {v.shape[0]} rows, block 0 has {d}")
+        ranks = tuple(v.shape[1] for v in blocks)
+        if sum(ranks) != d:
+            raise ValueError(f"blocks have {sum(ranks)} columns in all, need {d}")
+        joint = np.concatenate(blocks, axis=1)
+        bad = np.abs(joint.conj().T @ joint - np.eye(d)) > PROJECTOR_TOL
+        if bad.any():
+            # Name the outcomes that own the first failing entry of V^dagger V.
+            owner = np.repeat(np.arange(len(blocks)), ranks)
+            a, b = sorted(int(owner[i]) for i in np.argwhere(bad)[0])
+            if a == b:
+                raise ValueError(f"block {a} is not orthonormal")
+            raise ValueError(f"blocks {a} and {b} overlap")
+        projectors = block_projectors(blocks)
+        projectors.setflags(write=False)
+        object.__setattr__(self, "projectors", projectors)
+        object.__setattr__(self, "ranks", ranks)
         object.__setattr__(
             self,
             "subsystems",
@@ -284,16 +291,14 @@ class ProjectiveMeasurement:
 
     @property
     def dim(self) -> int:
-        return self.projectors[0].shape[0]
+        return self.projectors.shape[1]
 
 
 def basis_measurement(
     family: BasisFamily, i: int, subsystems: tuple[int, ...] | None = None
 ) -> ProjectiveMeasurement:
     """Rank-1 measurement in basis ``i`` of the family."""
-    vecs = family.bases[i]
-    projs = [np.outer(v, v.conj()) for v in vecs]
-    return ProjectiveMeasurement(projs, subsystems)
+    return ProjectiveMeasurement([v[:, None] for v in family.bases[i]], subsystems)
 
 
 def _measured_matrix(state: PureState, meas: ProjectiveMeasurement):

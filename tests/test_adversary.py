@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -7,7 +8,6 @@ import pytest
 from helpers import run_python
 from scotsim import adversary, bounds, quantum
 from scotsim.adversary import (
-    Strategy,
     cheat_probability_exact,
     cheat_probability_gamma,
     compose_shuffles,
@@ -202,45 +202,45 @@ class TestRandomStrategies:
         assert strat.targets == (2, 0)
 
 
+def _rebuilt(draw, cfg, **changes):
+    """A valid strategy from ``draw`` and a copy of it with some fields changed."""
+    good = draw(cfg, (0, 1), rng=0)
+    fields = {f.name: getattr(good, f.name) for f in dataclasses.fields(good)}
+    return good, type(good)(**{**fields, **changes})
+
+
 class TestStrategyValidation:
-    def test_bad_state_norm(self, cfg21):
-        good = random_strategy(cfg21, (0, 1), rng=0)
-        with pytest.raises(ValueError):
-            Strategy(
-                targets=good.targets,
-                ancilla_dims=good.ancilla_dims,
-                ancilla_state=np.array([2.0, 0.0]),
-                unitary=good.unitary,
-                split=good.split,
-                measurements=good.measurements,
-                qudit_count=good.qudit_count,
-            )
+    @pytest.fixture(
+        params=[random_strategy, random_branching_strategy], ids=["strategy", "branching"]
+    )
+    def rebuilt(self, request, cfg21):
+        return lambda **changes: _rebuilt(request.param, cfg21, **changes)
 
-    def test_non_unitary_rejected(self, cfg21):
-        good = random_strategy(cfg21, (0, 1), rng=0)
+    def test_bad_state_norm(self, rebuilt):
         with pytest.raises(ValueError):
-            Strategy(
-                targets=good.targets,
-                ancilla_dims=good.ancilla_dims,
-                ancilla_state=good.ancilla_state,
-                unitary=np.ones_like(good.unitary),
-                split=good.split,
-                measurements=good.measurements,
-                qudit_count=good.qudit_count,
-            )
+            rebuilt(ancilla_state=np.array([2.0, 0.0]))
 
-    def test_split_must_partition(self, cfg21):
-        good = random_strategy(cfg21, (0, 1), rng=0)
+    def test_non_unitary_rejected(self, rebuilt):
         with pytest.raises(ValueError):
-            Strategy(
-                targets=good.targets,
-                ancilla_dims=good.ancilla_dims,
-                ancilla_state=good.ancilla_state,
-                unitary=good.unitary,
-                split=(good.split[0], ()),
-                measurements=good.measurements,
-                qudit_count=good.qudit_count,
-            )
+            rebuilt(unitary=np.ones((8, 8)))
+
+    def test_split_must_partition(self, rebuilt):
+        good, _ = rebuilt()
+        with pytest.raises(ValueError):
+            rebuilt(split=(good.split[0], ()))
+
+    def test_measurement_dims_must_match(self, cfg21):
+        good, _ = _rebuilt(random_strategy, cfg21)
+        swapped = {(1 - branch, s): pm for (branch, s), pm in good.measurements.items()}
+        want = f"branch 1 measurement has dim {good.d0}, want {good.d1}"
+        with pytest.raises(ValueError, match=want):
+            _rebuilt(random_strategy, cfg21, measurements=swapped)
+        good, _ = _rebuilt(random_branching_strategy, cfg21)
+        with pytest.raises(ValueError, match="intermediate measurement has dim 4, want 8"):
+            _rebuilt(random_branching_strategy, cfg21, intermediate=good.conditioned[0][0])
+        swapped = {**good.conditioned, 3: good.conditioned[3][::-1]}
+        with pytest.raises(ValueError, match="outcome 3 branch 0 measurement has dim 2, want 4"):
+            _rebuilt(random_branching_strategy, cfg21, conditioned=swapped)
 
     def test_capacity_cap(self, cfg21, bb84):
         with pytest.raises(CapacityError):
@@ -336,8 +336,9 @@ class TestSandwichNormLemma:
         assert res.bound == pytest.approx(0.25)
 
     def test_requires_rank_one_measurements(self, cfg21, rng):
-        coarse = random_measurement(2, 1, rng)  # single rank-2 outcome
-        with pytest.raises(ValueError):
+        # two outcomes on two dimensions, one of rank 2 and one of rank 0
+        coarse = random_measurement(2, 2, rng, ranks=[2, 0])
+        with pytest.raises(ValueError, match="rank-1"):
             verify_sandwich_norm(cfg21, ((0, 1),), ((0, 1),), coarse, coarse)
 
 

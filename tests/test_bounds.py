@@ -22,7 +22,6 @@ from scotsim.bounds import (
     epsilon_bob,
     epsilon_bob_gamma,
     gamma_threshold,
-    hamming_ball_size,
 )
 from scotsim.quantum import equal_spaced_family, overlap_lambda
 
@@ -195,30 +194,6 @@ class TestCounting:
             count_omega(2, 2, 3)
         with pytest.raises(ValueError):
             count_omega(2, 2, -1)
-
-
-class TestHammingBall:
-    def test_frozen_sizes(self):
-        assert hamming_ball_size(10, 0.5) == 638
-        assert hamming_ball_size(20, 0.1) == 211
-
-    def test_entropy_upper_bound_example(self):
-        assert hamming_ball_size(20, 0.1) <= 2.0 ** (20 * binary_entropy(0.1))
-
-    def test_radius_floor(self):
-        # radius floor(n * gamma): below one bit the ball is a single point
-        assert hamming_ball_size(2, 0.25) == 1
-        assert hamming_ball_size(2, 0.5) == 3
-
-    @given(
-        st.integers(min_value=1, max_value=40),
-        st.floats(min_value=0.0, max_value=0.5),
-    )
-    def test_entropy_upper_bound(self, n, gamma):
-        size = hamming_ball_size(n, gamma)
-        assert 1 <= size <= 2**n
-        if 0 < gamma <= 0.5:
-            assert size <= 2.0 ** (n * binary_entropy(gamma)) * (1 + 1e-12)
 
 
 class TestReport:

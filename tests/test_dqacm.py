@@ -8,15 +8,8 @@ from scotsim import dqacm
 from scotsim.dqacm import (
     AliceInputs,
     DqacmConfig,
-    config_from_json,
-    config_to_json,
     decode,
     enumerate_permutations,
-    inputs_from_json,
-    inputs_to_json,
-    k_stage1_honest,
-    record_from_json,
-    record_to_json,
     sample_inputs,
     stage1_honest,
 )
@@ -186,57 +179,3 @@ class TestDecode:
             decode(cfg32, 3, d, ((0, 1, 2), (0, 1, 2)))
         with pytest.raises(ValueError):
             decode(cfg32, 0, d, ((0, 1, 2),))
-
-
-class TestKReceivers:
-    def test_each_copy_decodes_its_row(self, rng):
-        fam = equal_spaced_family(3)
-        cfg = DqacmConfig(m=3, n=4, family=fam)
-        inputs = sample_inputs(cfg, rng)
-        records = k_stage1_honest(cfg, 2, inputs, (2, 0), rng)
-        assert [rec.c for rec in records] == [2, 0]
-        for rec in records:
-            assert np.array_equal(
-                decode(cfg, rec.c, rec.d, inputs.s), inputs.r[rec.c]
-            )
-
-    def test_requires_distinct_choices_below_m(self, cfg32, rng):
-        inputs = sample_inputs(cfg32, rng)
-        with pytest.raises(ValueError):
-            k_stage1_honest(cfg32, 2, inputs, (1, 1), rng)
-        with pytest.raises(ValueError):
-            k_stage1_honest(cfg32, 3, inputs, (0, 1, 2), rng)
-        with pytest.raises(ValueError):
-            k_stage1_honest(cfg32, 2, inputs, (0,), rng)
-
-
-class TestJson:
-    def test_config_round_trip(self, rng):
-        cfg = DqacmConfig(m=3, n=2, family=equal_spaced_family(3), gamma=0.1)
-        doc = config_to_json(cfg)
-        assert doc["m"] == 3 and doc["n"] == 2 and doc["gamma"] == 0.1
-        back = config_from_json(doc)
-        assert back.m == cfg.m and back.n == cfg.n and back.gamma == cfg.gamma
-        assert np.allclose(back.family.bases, cfg.family.bases)
-
-    def test_config_json_rejects_non_planar(self):
-        phase = np.exp(0.3j)
-        bases = np.stack(
-            [np.eye(2), [[phase / np.sqrt(2), 1 / np.sqrt(2)],
-                         [1 / np.sqrt(2), -phase.conj() / np.sqrt(2)]]]
-        )
-        cfg = DqacmConfig(m=2, n=1, family=BasisFamily(bases))
-        with pytest.raises(ValueError):
-            config_to_json(cfg)
-
-    def test_malformed_config_doc(self):
-        with pytest.raises(ValueError):
-            config_from_json({"m": 2})
-
-    def test_inputs_and_record_round_trip(self, cfg32, rng):
-        inputs = sample_inputs(cfg32, rng)
-        rec = stage1_honest(cfg32, inputs, 1, rng)
-        inputs2 = inputs_from_json(inputs_to_json(inputs))
-        rec2 = record_from_json(record_to_json(rec))
-        assert np.array_equal(inputs2.r, inputs.r) and inputs2.s == inputs.s
-        assert rec2.c == rec.c and np.array_equal(rec2.d, rec.d)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from helpers import reference_exchange_update, run_python
-from scotsim import adversary
+from scotsim import adversary, quantum
 
 E = 4
 # (dim, ranks): even splits and profiles with rank-0 outcomes.
@@ -30,8 +30,7 @@ PROFILES = [
 
 def _random_state(dim, ranks, seed, columns=6):
     rng = np.random.default_rng(seed)
-    cols, ranks = adversary._haar_column_blocks(dim, E, rng, ranks)
-    blocks = [cols[e, :, :r].copy() for e, r in enumerate(ranks)]
+    blocks = adversary._haar_column_blocks(dim, E, rng, ranks)
     x = rng.standard_normal((E, dim, columns)) + 1j * rng.standard_normal((E, dim, columns))
     return blocks, x
 
@@ -49,9 +48,9 @@ def test_block_exchange_matches_projector_reference(dim, ranks):
     for seed in range(3):
         blocks, x = _random_state(dim, ranks, seed)
         want = reference_exchange_update(
-            adversary._projector_stack(blocks), _stacks(x), adversary._SPLIT_TOL
+            quantum.block_projectors(blocks), _stacks(x), adversary._SPLIT_TOL
         )
-        got = adversary._projector_stack(adversary._exchange_update(blocks, x))
+        got = quantum.block_projectors(adversary._exchange_update(blocks, x))
         assert np.abs(got - want).max() < 1e-10
 
 

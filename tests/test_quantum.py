@@ -135,34 +135,52 @@ class TestMeasurements:
     def test_projector_validation(self):
         eye = np.eye(2, dtype=complex)
         with pytest.raises(ValueError):
-            ProjectiveMeasurement([eye * 0.5, eye * 0.5])  # not idempotent
+            ProjectiveMeasurement([eye * 0.5])  # columns not normalised
         assert ProjectiveMeasurement([eye]).n_outcomes == 1  # trivial but complete
-        p0 = np.diag([1.0, 0.0]).astype(complex)
         with pytest.raises(ValueError):
-            ProjectiveMeasurement([p0, p0])  # not orthogonal, overcomplete
+            ProjectiveMeasurement([eye[:, :1], eye[:, :1]])  # one column twice
 
-    @pytest.mark.parametrize("d", [2, 40])  # stacked and looped pair checks
-    def test_each_check_names_the_failing_projector(self, d):
-        p0 = np.diag([1.0] * (d // 2) + [0.0] * (d - d // 2)).astype(complex)
-        p1 = np.eye(d) - p0
-        skew = p1.copy()
-        skew[d - 1, 0] = 1.0  # maps range(p0) into range(p1): idempotent, not Hermitian
-        with pytest.raises(ValueError, match="projector 1 is not Hermitian"):
-            ProjectiveMeasurement([p0, skew])
-        with pytest.raises(ValueError, match="projector 1 is not idempotent"):
-            ProjectiveMeasurement([p0, 0.5 * p1])
-        with pytest.raises(ValueError, match="projector 0 is not idempotent"):
-            ProjectiveMeasurement([0.5 * p0, skew])  # the first failing projector is named
-        with pytest.raises(ValueError, match="do not sum to the identity"):
-            ProjectiveMeasurement([p0])
-        assert ProjectiveMeasurement([p0, p1]).n_outcomes == 2
+    @pytest.mark.parametrize("d", [2, 40])
+    def test_each_check_names_the_failing_projector(self, d, rng):
+        # Outcome 0 takes the first half of a random unitary's columns.
+        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        u = np.linalg.qr(z)[0]
+        v0, v1 = u[:, : d // 2], u[:, d // 2 :]
+        with pytest.raises(ValueError, match="block 1 is not orthonormal"):
+            ProjectiveMeasurement([v0, 2.0 * v1])
+        overlapping = np.concatenate((v0[:, :1], v1[:, 1:]), axis=1)
+        with pytest.raises(ValueError, match="blocks 0 and 1 overlap"):
+            ProjectiveMeasurement([v0, overlapping])
+        with pytest.raises(ValueError, match=f"blocks have {d // 2} columns in all, need {d}"):
+            ProjectiveMeasurement([v0])
+        with pytest.raises(ValueError, match=f"block 1 has {d - 1} rows, block 0 has {d}"):
+            ProjectiveMeasurement([v0, v1[1:]])
+        meas = ProjectiveMeasurement([v0, np.zeros((d, 0)), v1])  # a rank-0 outcome
+        assert meas.ranks == (d // 2, 0, d - d // 2)
+        assert not meas.projectors[1].any()
+        assert np.abs(meas.projectors.sum(axis=0) - np.eye(d)).max() < 1e-12
+
+    def test_block_check_survives_optimize(self):
+        res = run_optimized(
+            """
+            import numpy as np
+            from scotsim.quantum import ProjectiveMeasurement
+            assert False  # stripped under -O
+            eye = np.eye(2)
+            ProjectiveMeasurement([eye[:, :1], 2.0 * eye[:, 1:]])
+            """
+        )
+        assert res.returncode != 0
+        assert "block 1 is not orthonormal" in res.stderr
 
     def test_identity_partition_is_valid(self):
-        p0 = np.diag([1.0, 0.0]).astype(complex)
-        p1 = np.diag([0.0, 1.0]).astype(complex)
-        meas = ProjectiveMeasurement([p0, p1])
+        eye = np.eye(2, dtype=complex)
+        meas = ProjectiveMeasurement([eye[:, :1], eye[:, 1:]])
         assert meas.n_outcomes == 2
         assert meas.dim == 2
+        assert meas.ranks == (1, 1)
+        assert np.array_equal(meas.projectors, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        assert not meas.projectors.flags.writeable
 
     def test_full_distribution_plus_state(self, bb84):
         plus = PureState(np.array([RT2, RT2]), (2,))
