@@ -20,23 +20,25 @@ Every measurement is built from orthonormal column blocks, one (d, rank)
 block V_e per outcome with P_e = V_e V_e^dagger (see
 :class:`~scotsim.quantum.ProjectiveMeasurement`): Haar draws hand over
 column slices of one Haar unitary, the closed-form strategies Kronecker
-products of basis columns and identities.  The see-saw keeps the blocks
-as its state, and the kernel hands it score factors X_e rather than
-d x d score operators (S_e is proportional to X_e X_e^dagger).  An
-exchange of outcomes a and b therefore needs no d x d
-eigendecomposition: their joint range is spanned by [V_a V_b] as it
-stands, and only the compressed score difference on it is diagonalised.
-Its eigenvalues above a relative tolerance (``_SPLIT_TOL`` times the
-largest magnitude) go to a and the rest to b, so rounding noise never
-decides on which side a zero eigenvalue falls, and results do not depend
-on the BLAS thread count.  Projector stacks are rebuilt from the blocks
-by :func:`~scotsim.quantum.block_projectors` for each kernel pass, only
-the blocks are backed up for a revert, and the final blocks become the
-result's measurements.
+products of basis columns and identities.  The contraction kernel reads
+the blocks as zero-padded column stacks and never builds a d x d
+projector; it encodes each shuffle tuple round by round.  The see-saw
+keeps the blocks as its state, and the kernel hands it score factors
+X_e rather than d x d score operators (S_e is proportional to
+X_e X_e^dagger).  An exchange of outcomes a and b therefore needs no
+d x d eigendecomposition: their joint range is spanned by [V_a V_b] as
+it stands, and only the compressed score difference on it is
+diagonalised.  Its eigenvalues above a relative tolerance
+(``_SPLIT_TOL`` times the largest magnitude) go to a and the rest to b,
+so rounding noise never decides on which side a zero eigenvalue falls,
+and results do not depend on the BLAS thread count.  Only the blocks
+are backed up for a revert, and the final blocks become the result's
+measurements.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -51,7 +53,7 @@ from .quantum import (
     MAX_TOTAL_DIM,
     ProjectiveMeasurement,
     _as_rng,
-    block_projectors,
+    block_columns,
     overlap_lambda,
     prepare_product_state,
     spectral_norm,
@@ -170,12 +172,13 @@ def omega_weight(
 class _Game:
     """Precomputed enumeration data for one (config, targets) pair.
 
-    For every shuffle tuple s this caches the encoding isometry whose
-    column ``col`` is the product state of the bit matrix with bits read
-    off ``col`` slot-major, the two decoded values e0/e1 per column, and
-    a column order sorting the columns by (e0, e1).  Every pair decodes
-    from exactly ``dim_a / l**(2n)`` columns, so reordered columns
-    reshape to (l**n, l**n, dim_a / l**(2n)) for :func:`_contract`.
+    ``rounds[pi]`` encodes one round under permutation pi: its column
+    ``col`` is the product state of the round's bits read off ``col``
+    slot-major.  Per shuffle tuple s this caches the whole encoding
+    isometry B_s, the decoded values (e0, e1) per column, and ``slots``:
+    the decode slots of targets l0 and l1, one per round, then the rest.
+    Transposing the column bits into that order sorts the columns by
+    (e0, e1), each pair owning K = dim_a / l**(2n) of them.
     """
 
     def __init__(self, config: DqacmConfig, targets: tuple[int, int]):
@@ -199,36 +202,32 @@ class _Game:
         self.s_tuples = tuple(
             itertools.product(enumerate_permutations(m), repeat=n)
         )
+        bases = config.family.bases
+        self.rounds = {
+            pi: functools.reduce(np.kron, [bases[i].T for i in np.argsort(pi)])
+            for pi in enumerate_permutations(m)
+        }
 
         cols = np.arange(self.dim_a)
         mn = m * n
         # bit of slot k in column col, slots ordered round-major, big-endian
         bit = [(cols >> (mn - 1 - k)) & 1 for k in range(mn)]
-        self.encoders = []
-        self.e0 = []
-        self.e1 = []
-        self.orders = []
+        self.encoders, self.decoded, self.slots = [], [], []
         for s in self.s_tuples:
-            b = np.ones((1, 1), dtype=np.complex128)
-            for j in range(n):
-                inv = np.argsort(s[j])
-                for p in range(m):
-                    b = np.kron(b, config.family.bases[inv[p]].T)
+            # Folded slot by slot, not from rounds: scotsim verify pins its rounding.
+            b = functools.reduce(np.kron, [bases[i].T for pi in s for i in np.argsort(pi)])
             self.encoders.append(b)
-            e0 = np.zeros(self.dim_a, dtype=np.int64)
-            e1 = np.zeros(self.dim_a, dtype=np.int64)
-            for j in range(n):
-                e0 |= bit[j * m + s[j][l0]] << (n - 1 - j)
-                e1 |= bit[j * m + s[j][l1]] << (n - 1 - j)
-            self.e0.append(e0)
-            self.e1.append(e1)
-            self.orders.append(np.argsort(e0 * self.n_out + e1, kind="stable"))
+            decode = [tuple(j * m + s[j][t] for j in range(n)) for t in (l0, l1)]
+            e = [sum(bit[k] << (n - 1 - j) for j, k in enumerate(d)) for d in decode]
+            self.decoded.append(e)
+            rest = tuple(k for k in range(mn) if k not in decode[0] + decode[1])
+            self.slots.append((*decode, rest))
 
-    def ball_matrix(self, gamma: float) -> np.ndarray:
-        """0/1 matrix whose row e marks the outcomes accepted for decoded value e."""
+    def ball(self, gamma: float) -> np.ndarray:
+        """(E, b) outcomes accepted for each decoded value e: within distance n * gamma."""
         e = np.arange(self.n_out)
         dist = np.array([[bin(a ^ b).count("1") for b in e] for a in e])
-        return (dist <= self.n * gamma).astype(np.complex128)
+        return np.nonzero(dist <= self.n * gamma)[1].reshape(self.n_out, -1)
 
 
 _GAME_CACHE: dict[tuple, _Game] = {}
@@ -370,91 +369,90 @@ def _check_compat(game: _Game, strategy: Strategy) -> None:
 
 
 def _contract(
-    game: _Game, unitary, chi, factors, split, p0, p1, ball=None, scores=None, grad=False
+    game: _Game, unitary, chi, factors, split, c0, c1, ball=None, scores=None, grad=False
 ):
     """The cheating-game contraction, one shuffle tuple at a time.
 
     ``unitary``, ``chi``, ``factors`` and ``split`` are a strategy's
-    arrays and layout (see :class:`Strategy`).  ``p0[si]`` and
-    ``p1[si]`` are the two branches' projector stacks, shape (E, d, d)
-    with E = l**n, for shuffle tuple ``si``; ``ball`` (see
-    ``_Game.ball_matrix``) replaces each by its ball sums.  With
-    the encoder's columns in ``game.orders[si]`` order, the split-ordered
-    state ``W = U (I x chi) B_s`` has shape (d0, d1, E, E, K): block
-    (e0, e1) holds the K bit matrices decoding to (e0, e1), and the
-    shuffle contributes <W, (P0[e0] x P1[e1]) W>.
+    arrays and layout (see :class:`Strategy`).  ``c0[si]`` and ``c1[si]``
+    are the two branches' (E, d, w) column stacks for shuffle tuple
+    ``si``, E = l**n (see ``ProjectiveMeasurement.columns``); ``ball``
+    (see ``_Game.ball``) replaces each V_e by the columns of its ball.
+    The state ``W = U (I x chi) B_s`` is encoded round by round, the
+    first n-1 rounds once for the m! adjacent tuples sharing them, and
+    one transpose of factors and column bits (``game.slots``) gives it
+    the shape (e_f, d_f, e_o, d_o, K): block (e0, e1) holds the K bit
+    matrices decoding to (e0, e1).  The first branch f's stacked
+    ``V_f^dagger`` compresses W, the other branch's compresses that, and
+    the shuffle adds ``||(V0[e0]^dagger x V1[e1]^dagger) W[e0, e1]||**2``;
+    padded columns add zeros.
 
     Returns ``(value, score_factors, grad)``.  ``value`` averages over
     shuffles and bit matrices.  ``scores=b`` (exact game only, no
-    ``ball``) also returns branch b's per-shuffle score factors X, shape
-    (E, d_b, d_other K): branch b's score operators are
+    ``ball``) also returns branch b's per-shuffle score factors X, the
+    other branch's compressed ``V_f^dagger W`` without padded rows,
+    shape (E, d_b, d_f K): branch b's score operators are
     ``S_e = norm X_e X_e^dagger`` with ``norm = 1 / (dim_a * shuffles)``,
     and ``sum_e tr(P_e S_e) = value`` summed over shuffles.  The
     see-saw's exchange (:func:`_exchange_update`) reads the factors as
     they are; for branch 0 at the canonical m=3, n=2 split they are
     (4, 64, 8), against (4, 64, 64) for the score operators.
-    ``grad=True`` gives the linear gradient G in the unitary with
-    ``Re tr(U^dagger G) = value``; both are None when not asked for.
+    ``grad=True`` (``scores`` None) gives the linear gradient G with
+    ``Re tr(U^dagger G) = value``, expanding the compressed state back
+    and undoing ``B_s``; both are None when not asked for.
     """
-    n_out, d_a = game.n_out, game.dim_a
-    k = d_a // (n_out * n_out)
+    n_out, d_a, n = game.n_out, game.dim_a, game.n
     total = unitary.shape[0]
     norm = 1.0 / (d_a * len(game.s_tuples))
     nf = len(factors)
-    perm = split[0] + split[1]
-    perm_factors = tuple(factors[i] for i in perm)
-    inv_perm = tuple(np.argsort(perm))
+    size = game.l**game.m
     d0 = math.prod(factors[i] for i in split[0])
     dims = (d0, total // d0)
-    # Branch `first` acts first; the other branch's projectors then act on
-    # P_first W, which is also what that branch's score operators need.
-    first = 1 if scores == 0 else 0
-    other = 1 - first
-    w_axes = (2 + first, first, 2 + other, other, 4)
-    z_axes = tuple(np.argsort((2 + other, other, 2 + first, first, 4)))
+    # Branch `first` acts first; the other branch's columns then act on
+    # V_first^dagger W, which is also what that branch's score factors are.
+    first, other = (1, 0) if scores == 0 else (0, 1)
     m_op = unitary.reshape(total, d_a, -1) @ chi
     value = 0.0
     score_factors = [] if scores is not None else None
     h = np.zeros((total, d_a), dtype=np.complex128) if grad else None
-    for si in range(len(game.s_tuples)):
-        enc = game.encoders[si][:, game.orders[si]]
-        v = (m_op @ enc).reshape(factors + (n_out, n_out, k))
-        w = v.transpose(perm + (nf, nf + 1, nf + 2)).reshape(dims + (n_out, n_out, k))
-        w = w.transpose(w_axes)  # (e_first, first, e_other, other, k)
-        q = [p0[si], p1[si]]
-        if score_factors is not None:
-            # X_e = sum_f P_first[f] W[f, e], one product over (f, first).
-            # The first branch's outcomes are mutually orthogonal, so the
-            # cross terms f != f' vanish from X_e X_e^dagger.
-            x = q[first].transpose(1, 0, 2).reshape(dims[first], -1)
-            x = x @ w.reshape(n_out * dims[first], -1)
-            x = x.reshape(dims[first], n_out, dims[other], k).transpose(1, 2, 0, 3)
-            x = x.reshape(n_out, dims[other], -1)
-            value += np.vdot(x, q[other] @ x).real
-            score_factors.append(x)
-            continue
+    prefix = None
+    for si, s in enumerate(game.s_tuples):
+        if s[:-1] != prefix:
+            prefix, shared = s[:-1], m_op
+            for j, pi in enumerate(prefix):
+                shared = game.rounds[pi].T @ shared.reshape(-1, size, size ** (n - 1 - j))
+        v = shared.reshape(-1, size) @ game.rounds[s[-1]]
+        bits = [tuple(nf + k for k in slots) for slots in game.slots[si]]
+        axes = bits[first] + split[first] + bits[other] + split[other] + bits[2]
+        v = v.reshape(factors + (game.l,) * (n * game.m)).transpose(axes)
+        q = [c0[si], c1[si]]
         if ball is not None:
-            q = [(ball @ p.reshape(n_out, -1)).reshape(p.shape) for p in q]
-        # x: (e_first, first | e_other, other, k), then (e_other, other | rest)
-        x = q[first] @ w.reshape(n_out, dims[first], -1)
-        x = x.reshape(n_out, dims[first], n_out, dims[other], k).transpose(2, 3, 0, 1, 4)
-        x = x.reshape(n_out, dims[other], -1)
-        z = q[other] @ x
-        # <x, z> = <W, (P0 x P1) W> since P_first is an orthogonal projector
-        value += np.vdot(x, z).real
+            q = [c[ball].transpose(0, 2, 1, 3).reshape(n_out, c.shape[1], -1) for c in q]
+        cf, co = q[first], q[other]
+        y = cf.conj().swapaxes(1, 2) @ v.reshape(n_out, dims[first], -1)
+        if score_factors is not None:
+            # Padded columns are all zero; so are their rows of y, dropped here.
+            y = y[cf.any(axis=1)].reshape(dims[first], n_out, dims[other], -1)
+            y = y.transpose(1, 2, 0, 3).reshape(n_out, dims[other], -1)
+            score_factors.append(y)
+        else:
+            y = y.reshape(n_out, cf.shape[2], n_out, dims[other], -1).transpose(2, 3, 0, 1, 4)
+        z = co.conj().swapaxes(1, 2) @ y.reshape(n_out, dims[other], -1)
+        value += np.vdot(z, z).real
         if h is not None:
-            z_w = z.reshape(n_out, dims[other], n_out, dims[first], k).transpose(z_axes)
-            z_f = z_w.reshape(perm_factors + (d_a,)).transpose(inv_perm + (nf,))
-            h += z_f.reshape(total, d_a) @ enc.conj().T
+            g = (co @ z).reshape(n_out, dims[other], n_out, cf.shape[2], -1)
+            g = cf @ g.transpose(2, 3, 0, 1, 4).reshape(cf.shape[0], cf.shape[2], -1)
+            undo = sorted(range(len(axes)), key=axes.__getitem__)
+            g = g.reshape(v.shape).transpose(undo)
+            h += g.reshape(total, d_a) @ game.encoders[si].conj().T
     g = None if h is None else norm * (h[:, :, None] * chi.conj()).reshape(total, total)
     return float(value) * norm, score_factors, g
 
 
 def _evaluate(game: _Game, strategy: Strategy, ball: np.ndarray | None) -> float:
-    p0 = [strategy.measurements[(0, s)].projectors for s in game.s_tuples]
-    p1 = [strategy.measurements[(1, s)].projectors for s in game.s_tuples]
+    cols = ([strategy.measurements[(b, s)].columns for s in game.s_tuples] for b in (0, 1))
     args = (strategy.unitary, strategy.ancilla_state, strategy.factors, strategy.split)
-    return _contract(game, *args, p0, p1, ball)[0]
+    return _contract(game, *args, *cols, ball)[0]
 
 
 def cheat_probability_exact(config: DqacmConfig, strategy: Strategy) -> float:
@@ -477,7 +475,7 @@ def cheat_probability_gamma(
         raise ValueError(f"gamma={gamma} outside [0, 0.5]")
     game = _game_for(config, strategy.targets)
     _check_compat(game, strategy)
-    return _evaluate(game, strategy, game.ball_matrix(gamma))
+    return _evaluate(game, strategy, game.ball(gamma) if game.n * gamma >= 1 else None)
 
 
 def _exchange_update(blocks: list[np.ndarray], x: np.ndarray) -> list[np.ndarray]:
@@ -490,8 +488,12 @@ def _exchange_update(blocks: list[np.ndarray], x: np.ndarray) -> list[np.ndarray
     re-splits it along the sign of the compressed score difference
     ``(B^dagger X_a)(B^dagger X_a)^dagger - (B^dagger X_b)(B^dagger X_b)^dagger``,
     the optimal two-outcome split, so every exchange is non-decreasing.
-    Eigenvalues at or below ``_SPLIT_TOL`` times the largest magnitude
-    go to b: rounding never decides the side of a (near-)zero one.
+    The difference has rank at most 2k, twice the columns of a factor;
+    when the joint rank r exceeds both 4k and 16 (below that the QR's
+    fixed cost outweighs the smaller ``eigh``), it is diagonalised in
+    factor space, after a QR of ``[B^dagger X_a  B^dagger X_b]``.
+    Eigenvalues at or below ``_SPLIT_TOL`` times the largest magnitude go
+    to b: rounding never decides the side of a (near-)zero one.
     """
     out = list(blocks)
     for a in range(len(out)):
@@ -501,7 +503,17 @@ def _exchange_update(blocks: list[np.ndarray], x: np.ndarray) -> list[np.ndarray
                 continue
             basis_h = basis.conj().T
             ya, yb = basis_h @ x[a], basis_h @ x[b]
-            w, vec = np.linalg.eigh(ya @ ya.conj().T - yb @ yb.conj().T)
+            k2 = 2 * ya.shape[1]
+            if basis.shape[1] > max(2 * k2, 16):
+                # [ya yb] = QR: the difference is Q R J R^dagger Q^dagger with
+                # J = diag(I, -I), and Q past column 2k spans its kernel.
+                q, r = np.linalg.qr(np.concatenate((ya, yb), axis=1), mode="complete")
+                sign = np.repeat([1.0, -1.0], k2 // 2)
+                w, u = np.linalg.eigh((r[:k2] * sign) @ r[:k2].conj().T)
+                w = np.concatenate((w, np.zeros(len(q) - k2)))
+                vec = np.concatenate((q[:, :k2] @ u, q[:, k2:]), axis=1)
+            else:
+                w, vec = np.linalg.eigh(ya @ ya.conj().T - yb @ yb.conj().T)
             keep = w > _SPLIT_TOL * np.abs(w).max()
             rotated = basis @ vec
             out[a], out[b] = rotated[:, keep], rotated[:, ~keep]
@@ -549,21 +561,20 @@ def seesaw_optimize(
     chi[0] = 1.0
     unitary = _haar_unitary(total, rng)
     # The measurement state: blocks[branch][si] lists each outcome's
-    # orthonormal columns.  projs holds the projector stacks the kernel
+    # orthonormal columns.  cols holds the padded column stacks the kernel
     # reads, always rebuilt from the blocks; only blocks are backed up.
     blocks = [[], []]
     for _ in game.s_tuples:
         for branch, dim in ((0, d0), (1, d1)):
             blocks[branch].append(_haar_column_blocks(dim, game.n_out, rng))
-    projs = [[block_projectors(v) for v in per_shuffle] for per_shuffle in blocks]
+    cols = [[block_columns(v) for v in per_shuffle] for per_shuffle in blocks]
 
     def set_blocks(branch, new):
         blocks[branch] = new
-        projs[branch] = None  # drop the old stacks before building new ones
-        projs[branch] = [block_projectors(v) for v in new]
+        cols[branch] = [block_columns(v) for v in new]
 
     def contract(**want):
-        return _contract(game, unitary, chi, factors, split, *projs, **want)
+        return _contract(game, unitary, chi, factors, split, *cols, **want)
 
     # Each pass that checks an update also yields what the next update
     # needs: branch-1 score factors, then the gradient, then branch-0's.
@@ -598,7 +609,6 @@ def seesaw_optimize(
             converged = True
             break
 
-    projs = None  # free the kernel's stacks before the measurements build theirs
     measurements = {}
     for si, s in enumerate(game.s_tuples):
         measurements[(0, s)] = ProjectiveMeasurement(blocks[0][si])
@@ -821,8 +831,8 @@ def verify_sandwich_norm(
     proj0 = np.zeros((d_a * n_out * n_out,) * 2, dtype=np.complex128)
     proj1 = np.zeros_like(proj0)
     for e in range(n_out):
-        cols0 = b_s[:, game.e0[si] == e]
-        cols1 = b_sv[:, game.e1[svi] == e]
+        cols0 = b_s[:, game.decoded[si][0] == e]
+        cols1 = b_sv[:, game.decoded[svi][1] == e]
         proj0 += np.kron(cols0 @ cols0.conj().T, np.kron(meas0.projectors[e], eye1))
         proj1 += np.kron(cols1 @ cols1.conj().T, np.kron(eye0, meas1.projectors[e]))
 
@@ -936,6 +946,10 @@ def verify_procedure_equivalence(
     n_out = config.l**config.n
     perm = strategy.split[0] + strategy.split[1]
     max_tv = 0.0
+    # registers: axis 2 referee, axis 3 branch 0, axis 4 branch 1.  Each
+    # input overwrites rec's diagonal and every slice of a and b.
+    rec = np.zeros((d0, d1, n_gamma, n_gamma, n_gamma), dtype=np.complex128)
+    a, b = np.empty_like(rec), np.empty_like(rec)
     for _ in range(n_inputs):
         inputs = sample_inputs(config, rng)
         base = prepare_product_state(config.family, inputs.r, inputs.s).amplitudes
@@ -955,18 +969,14 @@ def verify_procedure_equivalence(
                     w = t @ np.asarray(m1.projectors[e1]).T
                     p1[e0, e1] += float(np.sum(np.abs(w) ** 2))
 
-        # registers: axis 2 referee, axis 3 branch 0, axis 4 branch 1
-        rec = np.zeros((d0, d1, n_gamma, n_gamma, n_gamma), dtype=np.complex128)
         for g, z in enumerate(blocks):
             rec[:, :, g, g, g] = z
         p2 = np.zeros((n_out, n_out))
         for e0 in range(n_out):
-            a = np.zeros_like(rec)
             for g0 in range(n_gamma):
                 m0 = strategy.conditioned[g0][0].projectors[e0]
                 a[:, :, :, g0, :] = np.tensordot(m0, rec[:, :, :, g0, :], axes=(1, 0))
             for e1 in range(n_out):
-                b = np.zeros_like(a)
                 for g1 in range(n_gamma):
                     m1 = strategy.conditioned[g1][1].projectors[e1]
                     b[:, :, :, :, g1] = np.moveaxis(

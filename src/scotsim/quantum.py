@@ -6,13 +6,14 @@ family constructors, product-state preparation under round-wise
 position permutations, Born-rule measurement of whole states or chosen
 subsystems, and a couple of dense linear-algebra helpers.  Every
 projective measurement is built from one block of orthonormal columns
-per outcome and checked once, by a single Gram matrix; its projectors
-come from :func:`block_projectors`.  Everything is dense numpy;
-preparation is capped at 2**12 total dimensions.
+per outcome, checked once by a single Gram matrix, and kept as a padded
+column stack; its projectors are built on first read.  Everything is
+dense numpy; preparation is capped at 2**12 total dimensions.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -34,6 +35,7 @@ __all__ = [
     "equal_spaced_family",
     "overlap_lambda",
     "prepare_product_state",
+    "block_columns",
     "block_projectors",
     "basis_measurement",
     "measure",
@@ -218,19 +220,24 @@ def prepare_product_state(
     return PureState(vec, (l,) * (m * n))
 
 
-def block_projectors(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    """The (E, d, d) projectors ``V_e V_e^dagger`` of (d, r_e) column blocks.
-
-    The blocks are zero-padded to a common width and multiplied in one
-    stacked product.  The padding also fixes the rounding: OpenBLAS can
-    round a rank-1 block's product in the last bit differently on its
-    own than beside wider blocks, and the recorded measurement digests
-    pin the padded form.
-    """
+def block_columns(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """The (E, d, w) stack of (d, r_e) column blocks, zero-padded to w = max r_e."""
     d, width = blocks[0].shape[0], max(v.shape[1] for v in blocks)
     cols = np.zeros((len(blocks), d, width), dtype=np.complex128)
     for e, v in enumerate(blocks):
         cols[e, :, : v.shape[1]] = v
+    return cols
+
+
+def block_projectors(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """The (E, d, d) projectors ``V_e V_e^dagger`` of (d, r_e) column blocks.
+
+    One stacked product of the :func:`block_columns` stack.  The padding
+    also fixes the rounding: OpenBLAS can round a rank-1 block's product
+    in the last bit differently on its own than beside wider blocks, and
+    the recorded measurement digests pin the padded form.
+    """
+    cols = block_columns(blocks)
     return cols @ cols.conj().swapaxes(1, 2)
 
 
@@ -243,13 +250,15 @@ class ProjectiveMeasurement:
     block.  One check runs at construction: the blocks side by side form
     a d x d matrix V with ``V^dagger V = I`` within ``PROJECTOR_TOL``.
     That makes every P_e Hermitian and idempotent, the P_e mutually
-    orthogonal, and their sum the identity.  ``projectors`` is the
-    read-only (E, d, d) stack of the P_e and ``ranks`` lists the r_e.
-    ``subsystems`` restricts the action to the listed tensor factors of
-    the measured state (None means the whole space).
+    orthogonal, and their sum the identity.  ``columns`` is the read-only
+    (E, d, w) :func:`block_columns` stack, ``ranks`` lists the r_e, and
+    ``projectors``, the read-only (E, d, d) stack of the P_e, is built from
+    ``columns`` by :func:`block_projectors` on first read.  ``subsystems``
+    restricts the action to the listed tensor factors of the measured
+    state (None means the whole space).
     """
 
-    projectors: np.ndarray
+    columns: np.ndarray
     ranks: tuple[int, ...]
     subsystems: tuple[int, ...] | None = None
 
@@ -275,9 +284,9 @@ class ProjectiveMeasurement:
             if a == b:
                 raise ValueError(f"block {a} is not orthonormal")
             raise ValueError(f"blocks {a} and {b} overlap")
-        projectors = block_projectors(blocks)
-        projectors.setflags(write=False)
-        object.__setattr__(self, "projectors", projectors)
+        columns = block_columns(blocks)
+        columns.setflags(write=False)
+        object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(
             self,
@@ -285,13 +294,19 @@ class ProjectiveMeasurement:
             None if subsystems is None else tuple(int(i) for i in subsystems),
         )
 
+    @functools.cached_property
+    def projectors(self) -> np.ndarray:
+        projectors = block_projectors(self.columns)
+        projectors.setflags(write=False)
+        return projectors
+
     @property
     def n_outcomes(self) -> int:
-        return len(self.projectors)
+        return len(self.columns)
 
     @property
     def dim(self) -> int:
-        return self.projectors.shape[1]
+        return self.columns.shape[1]
 
 
 def basis_measurement(

@@ -222,21 +222,10 @@ class TestAttack:
         assert rc == 4
         capsys.readouterr()
 
-    @pytest.mark.parametrize(
-        "args, digest",
-        [
-            ("--m 3 --n 2 --restarts 1 --iterations 2 --seed 0",
-             "8367d606f263545086eaf062201c6e0ce6ac10c96a7a30d50e303bac6353e0d6"),
-            ("--m 2 --n 1 --restarts 2 --seed 0",
-             "ba4e0009b879e76c133eda3657cbbc9187e0e7886c07d1024577b654018cb00f"),
-        ],
-        ids=["m3n2", "m2n1"],
-    )
-    def test_stdout_matches_recorded_digest(self, args, digest):
-        # sha256 of the canonical stdout, recorded before measurements were
-        # built from column blocks: it pins the see-saw traces and the final
-        # strategy_hash byte for byte.  One BLAS thread, since the m=3, n=2
-        # Haar draws round differently with more.
+    @staticmethod
+    def _attack_stdout(args):
+        # One BLAS thread, since the m=3, n=2 Haar draws round differently
+        # with more.
         res = run_python(
             f"""
             import sys
@@ -246,7 +235,48 @@ class TestAttack:
             env={"OPENBLAS_NUM_THREADS": "1"},
         )
         assert res.returncode == 0, res.stderr
-        assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+        return res.stdout
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            ("--m 3 --n 2 --restarts 1 --iterations 2 --seed 0",
+             "a8a8d42707e68f15113d76b29a275a08a2d7afd72cf90c42a3be87673a756cce"),
+            ("--m 2 --n 1 --restarts 2 --seed 0",
+             "3b50c45b46d39eb8f1a368bf90808310524113798f02c258d127d332533228da"),
+        ],
+        ids=["m3n2", "m2n1"],
+    )
+    def test_stdout_matches_recorded_digest(self, args, digest):
+        # sha256 of the canonical stdout, recorded once the kernel read
+        # column stacks: it pins the see-saw traces and the final
+        # strategy_hash byte for byte.
+        stdout = self._attack_stdout(args)
+        assert hashlib.sha256(stdout.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "args, trace",
+        [
+            ("--m 3 --n 2 --restarts 1 --iterations 2 --seed 0",
+             [0.06314282055208101, 0.24159552693894182, 0.281112425286938]),
+            ("--m 2 --n 1 --restarts 2 --seed 0",
+             [0.17420256836823453, 0.7713629337097597, 0.8446182423035975,
+              0.8517695322504635, 0.8530213183798036, 0.853378990849962,
+              0.8534952978188208, 0.8535339089989928, 0.8535468249646025,
+              0.8535511691663307, 0.8535526366638051, 0.8535531340984899,
+              0.8535533031671529, 0.8535533607508118, 0.8535533803952599,
+              0.8535533871053006, 0.8535533893995019, 0.8535533901844895,
+              0.8535533904532375, 0.8535533905452883, 0.8535533905768282]),
+        ],
+        ids=["m3n2", "m2n1"],
+    )
+    def test_trace_matches_recorded_values(self, args, trace):
+        # The see-saw trace as recorded before the kernel read column
+        # stacks; summation order may move only its last bits.
+        doc = json.loads(self._attack_stdout(args))
+        assert len(doc["trace"]) == len(trace)
+        assert max(abs(a - b) for a, b in zip(doc["trace"], trace)) < 1e-12
+        assert abs(doc["p_exact"] - trace[-1]) < 1e-12
 
 
 class TestVerify:

@@ -46,10 +46,12 @@ def _strategies(m, n):
 
 
 def _run_kernel(cfg, strat, **want):
+    # The kernel reads column stacks; the projector stacks come back for checks.
     game = adversary._game_for(cfg, strat.targets)
-    p0 = [np.stack(strat.measurements[(0, s)].projectors) for s in game.s_tuples]
-    p1 = [np.stack(strat.measurements[(1, s)].projectors) for s in game.s_tuples]
-    args = (game, strat.unitary, strat.ancilla_state, strat.factors, strat.split, p0, p1)
+    meas = [[strat.measurements[(b, s)] for s in game.s_tuples] for b in (0, 1)]
+    cols = [[pm.columns for pm in per_branch] for per_branch in meas]
+    args = (game, strat.unitary, strat.ancilla_state, strat.factors, strat.split, *cols)
+    p0, p1 = ([pm.projectors for pm in per_branch] for per_branch in meas)
     return adversary._contract(*args, **want), p0, p1
 
 
@@ -83,6 +85,35 @@ def test_rank_zero_outcomes_match_reference(m, n, ancilla_dim):
         assert cheat_probability_gamma(cfg, strat, gamma) == pytest.approx(
             reference_cheat_probability(cfg, strat, gamma), abs=PIN
         )
+
+
+def test_uneven_widths_match_reference(cfg32):
+    # The see-saw leaves branch 0 with ranks [8, 8, 8, 40] and the
+    # ancilla branch with [1, 1, 0, 0]: column stacks padded to 40 and 1.
+    strat = adversary.seesaw_optimize(cfg32, (0, 1), iterations=1, seed=0).strategy
+    ranks = {pm.ranks for pm in strat.measurements.values()}
+    assert ranks == {(8, 8, 8, 40), (1, 1, 0, 0)}
+    assert cheat_probability_exact(cfg32, strat) == pytest.approx(
+        reference_cheat_probability(cfg32, strat), abs=PIN
+    )
+    assert cheat_probability_gamma(cfg32, strat, 0.5) == pytest.approx(
+        reference_cheat_probability(cfg32, strat, 0.5), abs=PIN
+    )
+
+
+@pytest.mark.parametrize("m,n", GRID)
+def test_small_gamma_is_the_exact_game(m, n):
+    # Below 1/n the ball holds only the decoded value itself.
+    cfg = _config(m, n)
+    strat = random_strategy(cfg, (0, 1), rng=4)
+    assert cheat_probability_gamma(cfg, strat, 0.1) == cheat_probability_exact(cfg, strat)
+
+
+def test_scoring_builds_no_projectors(cfg32):
+    strat = random_strategy(cfg32, (0, 1), rng=5)
+    cheat_probability_exact(cfg32, strat)
+    cheat_probability_gamma(cfg32, strat, 0.5)
+    assert not any("projectors" in vars(pm) for pm in strat.measurements.values())
 
 
 @pytest.mark.parametrize("m,n", GRID)

@@ -80,9 +80,13 @@ def test_exchange_diagonalises_only_compressed_pairs(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", recording)
     adversary._exchange_update(blocks, x)
     assert len(sizes) == E * (E - 1) // 2
-    # The first pair's joint range is 16 + 16 columns of the 64.
-    assert sizes[0] == (32, 32)
-    assert all(n < 64 for n, _ in sizes)
+    # A score difference has rank at most 2k = 12, the columns of both
+    # factors.  A joint range r above max(4k, 16) is diagonalised on those
+    # 2k dimensions, as the first pair's 16 + 16 columns of the 64 are,
+    # and a smaller one directly: no eigh exceeds max(4k, 16).
+    k2 = 2 * x.shape[2]
+    assert sizes[0] == (k2, k2)
+    assert all(n <= max(2 * k2, 16) for n, _ in sizes)
 
 
 def test_seesaw_trace_does_not_depend_on_blas_threads():
