@@ -84,11 +84,7 @@ def cmd_run(args) -> int:
         expected = x[args.b]
     wall_ms = (time.perf_counter() - start) * 1000.0
     ok, violations = protocol.verify_transcript(transcript)
-    audit_msgs = sum(
-        1
-        for msg in transcript.messages
-        if msg.sender.startswith("B") and msg.receiver.startswith("A")
-    )
+    audit_msgs = len(protocol.receiver_to_sender_kinds(transcript))
 
     outdir = args.out or os.environ.get("SCOTSIM_OUTDIR", ".")
     os.makedirs(outdir, exist_ok=True)

@@ -202,7 +202,7 @@ def stage1_honest(
     rng = _as_rng(rng)
     # occupant[p, j] = basis index of the carrier at position p of round j
     occupant = np.argsort(np.array(inputs.s), axis=1).T
-    bits = np.take_along_axis(inputs.r, occupant, axis=0)
+    bits = inputs.r[occupant, np.arange(config.n)]
     return BobRecord(c, sample_slots(config, c, occupant, bits, rng, flip_rate))
 
 

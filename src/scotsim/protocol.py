@@ -36,10 +36,12 @@ The runners:
     b' = b + c (mod m), and the pads are arranged so that region b
     still decodes string b while b' tells the sender nothing about b.
 
-Transcripts record every message and local operation with bound
-events; :func:`verify_transcript` re-checks all causal claims from the
-transcript alone, and :func:`obliviousness_audit` checks the
-receiver-to-sender traffic statistics over many transcripts.
+A transcript keeps its bound schedule and payloads and builds its
+``Message``/``LocalOp`` lists only when first read.
+:func:`verify_transcript` re-checks all causal claims from the
+transcript alone, deriving the verdict on an unedited schedule once per
+layout; :func:`obliviousness_audit` checks the receiver-to-sender
+traffic over many transcripts.  Neither builds the lists.
 """
 
 from __future__ import annotations
@@ -81,6 +83,7 @@ __all__ = [
     "verify_transcript",
     "obliviousness_audit",
     "placement_satisfied",
+    "receiver_to_sender_kinds",
     "transcript_to_json",
 ]
 
@@ -127,15 +130,41 @@ class LocalOp:
 
 @dataclass(eq=False)
 class Transcript:
+    """One run: its bound schedule and its payloads, one per step in order.
+
+    ``messages`` and ``local_ops`` are built from the two on first access
+    and kept; after that the lists, edits included, are the transcript.
+    """
+
     mode: str
     m: int
     n: int
     b: int
     layout: ValidatedLayout
-    messages: list[Message] = field(default_factory=list)
-    local_ops: list[LocalOp] = field(default_factory=list)
+    schedule: _Schedule = field(repr=False)
+    payloads: list[dict] = field(repr=False)
     outputs: dict[int, np.ndarray] = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
+    _lists: tuple[list[Message], list[LocalOp]] | None = field(default=None, init=False)
+
+    @property
+    def messages(self) -> list[Message]:
+        return self._built()[0]
+
+    @property
+    def local_ops(self) -> list[LocalOp]:
+        return self._built()[1]
+
+    def _built(self) -> tuple[list[Message], list[LocalOp]]:
+        if self._lists is None:
+            pay, sched = self.payloads, self.schedule
+            self._lists = (
+                [Message(s.sender, s.receiver, s.kind, pay[s.seq - 1], s.emit, s.deliver,
+                         s.emit_placement, s.deliver_placement, s.seq) for s in sched.messages],
+                [LocalOp(s.agent, s.kind, pay[s.seq - 1], s.event, s.placement, s.seq)
+                 for s in sched.local_ops],
+            )
+        return self._lists
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,10 +379,18 @@ _ACTIONS = {
     "pcc": _pcc_actions,
 }
 
-# A bound step: the action, its (emission) event and its delivery event.
-_Step = tuple[_Action, Event, Event | None]
 
-# id(layout) -> (layout, per-agent vertex sets, bound steps by (mode, b))
+@dataclass(eq=False)
+class _Schedule:
+    """One (mode, b) schedule bound on ``layout``: its steps, without payloads."""
+
+    layout: ValidatedLayout
+    messages: tuple[Message, ...]
+    local_ops: tuple[LocalOp, ...]
+    violations: list[dict] | None = None  # the verdict, once a verification needs it
+
+
+# id(layout) -> (layout, per-agent vertex sets, schedules by (mode, b))
 _GEOMETRY_CACHE: dict[int, tuple[ValidatedLayout, dict, dict]] = {}
 
 
@@ -370,12 +407,12 @@ def _cached(vlayout: ValidatedLayout) -> tuple[dict[str, frozenset[Event]], dict
 
 def _bind_schedule(
     vlayout: ValidatedLayout, actions: Sequence[_Action]
-) -> tuple[_Step, ...]:
+) -> tuple[tuple[Message, ...], tuple[LocalOp, ...]]:
     """Bind each action to the earliest vertex that passes :func:`verify_transcript`.
 
     An agent's actions bind in order, each at or after its previous one,
     to a vertex where every placement is satisfied; a delivery also
-    needs its emission to causally precede it.
+    needs its emission to causally precede it.  Steps carry no payload.
     """
     lines = dict(vlayout.layout.worldlines)
     cursor = dict.fromkeys(lines, 0)
@@ -393,48 +430,31 @@ def _bind_schedule(
                 return v
         raise SchedulingError(f"no vertex on {agent!r} satisfies {what}")
 
-    steps = []
-    for act in actions:
+    messages, local_ops = [], []
+    for seq, act in enumerate(actions, 1):
         if act.receiver is None:
-            steps.append((act, bind(act.agent, act.placement, None, act.kind), None))
+            event = bind(act.agent, act.placement, None, act.kind)
+            local_ops.append(LocalOp(act.agent, act.kind, None, event, act.placement, seq))
         else:
             emit = bind(act.agent, act.placement, None, f"emit {act.kind}")
             deliver = bind(act.receiver, act.deliver, emit, f"deliver {act.kind}")
-            steps.append((act, emit, deliver))
-    return tuple(steps)
+            messages.append(Message(act.agent, act.receiver, act.kind, None, emit, deliver,
+                                    act.placement, act.deliver, seq))
+    return tuple(messages), tuple(local_ops)
 
 
-def _schedule(vlayout: ValidatedLayout, mode: str, b: int) -> tuple[_Step, ...]:
-    """The bound steps of ``mode`` for target ``b``, bound once per layout object.
+def _schedule(vlayout: ValidatedLayout, mode: str, b: int) -> _Schedule:
+    """The schedule of ``mode`` for target ``b``, bound once per layout object.
 
     Binding depends on nothing else, so every later run reuses it; an
     infeasible layout raises :class:`SchedulingError` and caches nothing.
     """
     _, schedules = _cached(vlayout)
-    steps = schedules.get((mode, b))
-    if steps is None:
-        steps = schedules[(mode, b)] = _bind_schedule(vlayout, _ACTIONS[mode](vlayout.m, b))
-    return steps
-
-
-def _transcript(
-    config: ScotConfig, b: int, steps: tuple[_Step, ...], payloads: Sequence[dict]
-) -> Transcript:
-    """One run's transcript: its payloads filled into the bound steps, in order."""
-    t = Transcript(config.mode, config.m, config.n, b, config.layout)
-    for seq, ((act, event, deliver), payload) in enumerate(
-        zip(steps, payloads, strict=True), 1
-    ):
-        if act.receiver is None:
-            t.local_ops.append(
-                LocalOp(act.agent, act.kind, payload, event, act.placement, seq)
-            )
-        else:
-            t.messages.append(
-                Message(act.agent, act.receiver, act.kind, payload, event, deliver,
-                        act.placement, act.deliver, seq)
-            )
-    return t
+    sched = schedules.get((mode, b))
+    if sched is None:
+        steps = _bind_schedule(vlayout, _ACTIONS[mode](vlayout.m, b))
+        sched = schedules[(mode, b)] = _Schedule(vlayout, *steps)
+    return sched
 
 
 def _check_b(config: ScotConfig, b: int) -> None:
@@ -448,7 +468,7 @@ def _check_x(config: ScotConfig, x) -> np.ndarray:
         raise ConfigError(
             f"x must have shape ({config.m}, {config.n}), got {arr.shape}"
         )
-    if np.any((arr < 0) | (arr > 1)):
+    if (arr & -2).any():  # nonzero exactly where an entry is not 0 or 1
         raise ConfigError("x entries must be bits")
     return arr
 
@@ -468,14 +488,15 @@ def run_psr(config: ScotConfig, b: int, seed) -> Transcript:
 
     r = rng.integers(0, 2, size=n)
     s = rng.integers(0, 2, size=n)
-    steps = _schedule(config.layout, "psr", b)
+    sched = _schedule(config.layout, "psr", b)
     r_meas = dqacm_mod.sample_slots(_BB84, s, s, r, rng, config.flip_rate)
-    t = _transcript(config, b, steps, [
-        {"r": r.tolist(), "s": s.tolist()},
+    s_bits = s.tolist()
+    t = Transcript(config.mode, config.m, config.n, b, config.layout, sched, [
+        {"r": r.tolist(), "s": s_bits},
         {"handle": "q0"},
         {"b": b},
         {"handle": "q0"},
-        *({"s": s.tolist()} for _ in range(2 * m)),  # basis_info, handover
+        *({"s": s_bits} for _ in range(2 * m)),  # basis_info, handover
         {"outcomes": r_meas.tolist()},
         {"value": r_meas.tolist()},
     ])
@@ -495,22 +516,22 @@ def run_pqc(config: ScotConfig, x, b: int, seed) -> Transcript:
 
     r = rng.integers(0, 2, size=n)
     s = rng.integers(0, 2, size=n)
-    steps = _schedule(config.layout, "pqc", b)
+    sched = _schedule(config.layout, "pqc", b)
     pads = x ^ r
     r_meas = dqacm_mod.sample_slots(_BB84, s, s, r, rng, config.flip_rate)
     out = r_meas ^ pads[b]
-    t = _transcript(config, b, steps, [
-        {"r": r.tolist(), "s": s.tolist()},
+    r_bits, s_bits, x_rows, pad_rows = r.tolist(), s.tolist(), x.tolist(), pads.tolist()
+    t = Transcript(config.mode, config.m, config.n, b, config.layout, sched, [
+        {"r": r_bits, "s": s_bits},
         {"handle": "q0"},
         {"b": b},
         {"handle": "q0"},
         *(  # pad_info, input_x, compute_pad
             doc
             for i in range(m)
-            for doc in ({"r": r.tolist(), "s": s.tolist()}, {"x": x[i].tolist()},
-                        {"t": pads[i].tolist()})
+            for doc in ({"r": r_bits, "s": s_bits}, {"x": x_rows[i]}, {"t": pad_rows[i]})
         ),
-        *({"s": s.tolist(), "t": pads[i].tolist()} for i in range(m)),  # handover
+        *({"s": s_bits, "t": pad_rows[i]} for i in range(m)),  # handover
         {"outcomes": r_meas.tolist()},
         {"value": out.tolist()},
     ])
@@ -542,7 +563,7 @@ def run_pcc(config: ScotConfig, x, b: int, seed, c: int | None = None) -> Transc
         c = int(rng.integers(0, m))
     if not 0 <= c < m:
         raise ConfigError(f"c={c} outside range({m})")
-    steps = _schedule(config.layout, "pcc", b)
+    sched = _schedule(config.layout, "pcc", b)
     record = dqacm_mod.stage1_honest(dq, inputs, c, rng, config.flip_rate)
     b_prime = (b + c) % m
     pads = inputs.r[(b_prime - np.arange(m)) % m] ^ x
@@ -553,7 +574,8 @@ def run_pcc(config: ScotConfig, x, b: int, seed, c: int | None = None) -> Transc
     inputs_doc = dqacm_mod.inputs_to_json(inputs)
     record_doc = dqacm_mod.record_to_json(record)
     s_doc = [list(p) for p in inputs.s]
-    t = _transcript(config, b, steps, [
+    x_rows, pad_rows, row_bits = x.tolist(), pads.tolist(), row.tolist()
+    t = Transcript(config.mode, config.m, config.n, b, config.layout, sched, [
         inputs_doc,
         {"handle": "q0"},
         {"c": c},
@@ -565,10 +587,10 @@ def run_pcc(config: ScotConfig, x, b: int, seed, c: int | None = None) -> Transc
         *({"b": b} for _ in range(m)),  # target_index
         *({"b_prime": b_prime} for _ in range(m)),  # shift_info
         *(  # input_x, compute_pad
-            doc for i in range(m) for doc in ({"x": x[i].tolist()}, {"t": pads[i].tolist()})
+            doc for i in range(m) for doc in ({"x": x_rows[i]}, {"t": pad_rows[i]})
         ),
-        *({"t": pads[i].tolist(), "s": s_doc} for i in range(m)),  # handover
-        *({"row": row.tolist()} for _ in range(m)),  # decode
+        *({"t": pad_rows[i], "s": s_doc} for i in range(m)),  # handover
+        *({"row": row_bits} for _ in range(m)),  # decode
         {"value": out.tolist()},
     ])
     t.outputs[b] = out
@@ -598,6 +620,21 @@ def _semantic_violations(t: Transcript) -> list[dict]:
     return out
 
 
+def _steps(t: Transcript) -> tuple[Sequence[Message], Sequence[LocalOp]]:
+    """The messages and local operations of ``t``: its lists once built, else its schedule's."""
+    if t._lists is None:
+        return t.schedule.messages, t.schedule.local_ops
+    return t._lists
+
+
+def receiver_to_sender_kinds(t: Transcript) -> list[str]:
+    """The kinds of the messages a receiver agent sends a sender agent, in order."""
+    return [
+        msg.kind for msg in _steps(t)[0]
+        if msg.sender.startswith("B") and msg.receiver.startswith("A")
+    ]
+
+
 def verify_transcript(
     transcript: Transcript, vlayout: ValidatedLayout | None = None
 ) -> tuple[bool, list[dict]]:
@@ -607,9 +644,26 @@ def verify_transcript(
     events sit on the acting agent's declared worldline, per-agent
     action times never decrease, every message delivery lies in the
     causal future of its emission, and all recorded placement
-    requirements hold at the bound events.
+    requirements hold at the bound events.  These geometric checks run
+    once per schedule for transcripts whose lists were never built,
+    checked on the layout object the schedule was bound on, and in full
+    otherwise; the recorded data's consistency is checked on every call.
     """
     vlayout = vlayout or transcript.layout
+    sched = transcript.schedule
+    if transcript._lists is None and vlayout is sched.layout:
+        if sched.violations is None:
+            sched.violations = _geometric_violations(vlayout, *_steps(transcript))
+        violations = list(sched.violations)
+    else:
+        violations = _geometric_violations(vlayout, *_steps(transcript))
+    violations.extend(_semantic_violations(transcript))
+    return (not violations, violations)
+
+
+def _geometric_violations(
+    vlayout: ValidatedLayout, messages: Sequence[Message], local_ops: Sequence[LocalOp]
+) -> list[dict]:
     vertices, _ = _cached(vlayout)
     violations: list[dict] = []
 
@@ -633,7 +687,7 @@ def verify_transcript(
                      "placement": [p.kind, p.index], "event": [event.t, *event.x]}
                 )
 
-    for k, msg in enumerate(transcript.messages):
+    for k, msg in enumerate(messages):
         what = f"message[{k}]:{msg.kind}"
         on_worldline(msg.sender, msg.emit, what)
         on_worldline(msg.receiver, msg.deliver, what)
@@ -645,33 +699,23 @@ def verify_transcript(
             )
         check_placements(msg.emit_placement, msg.emit, what + ":emit")
         check_placements(msg.deliver_placement, msg.deliver, what + ":deliver")
-    for k, op in enumerate(transcript.local_ops):
+    for k, op in enumerate(local_ops):
         what = f"local[{k}]:{op.kind}"
         on_worldline(op.agent, op.event, what)
         check_placements(op.placement, op.event, what)
 
-    # Interleave messages and local ops in transcript order per agent.
+    # Each agent's events in scheduling order, merged on sequence numbers.
+    items: list[tuple[int, str, Event]] = []
+    for msg in messages:
+        items += [(msg.seq, msg.sender, msg.emit), (msg.seq, msg.receiver, msg.deliver)]
+    items += [(op.seq, op.agent, op.event) for op in local_ops]
     ordered: dict[str, list[float]] = {}
-    for item in _chronology(transcript):
-        ordered.setdefault(item[0], []).append(item[1].t)
+    for _seq, agent, event in sorted(items, key=lambda it: it[0]):
+        ordered.setdefault(agent, []).append(event.t)
     for agent, ts in ordered.items():
         if any(b < a for a, b in zip(ts, ts[1:])):
             violations.append({"kind": "agent_time_regression", "agent": agent})
-
-    violations.extend(_semantic_violations(transcript))
-    return (not violations, violations)
-
-
-def _chronology(transcript: Transcript):
-    """(agent, event) pairs in scheduling order, merged on sequence numbers."""
-    items: list[tuple[int, str, Event]] = []
-    for msg in transcript.messages:
-        items.append((msg.seq, msg.sender, msg.emit))
-        items.append((msg.seq, msg.receiver, msg.deliver))
-    for op in transcript.local_ops:
-        items.append((op.seq, op.agent, op.event))
-    for _seq, agent, event in sorted(items, key=lambda it: it[0]):
-        yield (agent, event)
+    return violations
 
 
 @dataclass(frozen=True, eq=False)
@@ -697,18 +741,14 @@ def obliviousness_audit(
     range(m) at the given significance level.
     """
     bob_to_alice = 0
-    ok = True
     groups: dict[tuple[int, int], list[int]] = {}
     for t in transcripts:
-        for msg in t.messages:
-            if msg.sender.startswith("B") and msg.receiver.startswith("A"):
-                if t.mode == "pcc" and msg.kind == "basis_shift":
-                    continue
-                bob_to_alice += 1
+        kinds = receiver_to_sender_kinds(t)
+        bob_to_alice += len(kinds)
         if t.mode == "pcc":
+            bob_to_alice -= kinds.count("basis_shift")
             groups.setdefault((t.m, t.b), []).append(t.extra["b_prime"])
-    if bob_to_alice > 0:
-        ok = False
+    ok = bob_to_alice == 0
     rows = []
     for (m, b), values in sorted(groups.items()):
         counts = np.bincount(values, minlength=m)

@@ -604,3 +604,119 @@ class TestScheduleBinding:
         fresh = run_pcc(cfg, x, 0, 1)
         assert_clean(fresh)
         assert fresh.local_ops[-1].payload["value"] == [0, 0]
+
+
+def _shifted(vlayout, dx=0.25):
+    """The same regions with every worldline moved ``dx`` along the first axis."""
+    base = vlayout.layout
+    lines = {
+        name: [Event(e.t, (e.x[0] + dx, *e.x[1:])) for e in base.worldline(name)]
+        for name in base.agents
+    }
+    return validate_layout(Layout(base.regions, base.q_points, lines))
+
+
+class TestLazyTranscript:
+    """Honest runs keep their schedule and payloads; the lists come on demand."""
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        built = []
+
+        class CountingMessage(protocol.Message):
+            def __init__(self, *args, **kwargs):
+                built.append("message")
+                super().__init__(*args, **kwargs)
+
+        class CountingLocalOp(protocol.LocalOp):
+            def __init__(self, *args, **kwargs):
+                built.append("local")
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, "Message", CountingMessage)
+        monkeypatch.setattr(protocol, "LocalOp", CountingLocalOp)
+        return built
+
+    @pytest.mark.parametrize("mode", protocol.MODES)
+    def test_run_verify_and_audit_build_nothing(self, mode, monkeypatch):
+        cfg = scot_config(mode, 3, 2)
+        for b in range(3):  # binding makes each schedule's payload-less steps once
+            TestScheduleBinding._run(cfg, b, 0)
+        built = self._count_builds(monkeypatch)
+        ts = [TestScheduleBinding._run(cfg, k % 3, k) for k in range(6)]
+        for t in ts:
+            assert_clean(t)
+        assert obliviousness_audit(ts).bob_to_alice == 0
+        assert built == []
+        messages, local_ops = ts[0].messages, ts[0].local_ops
+        assert len(built) == len(messages) + len(local_ops) > 0
+        assert built.count("message") == len(messages)
+        # a second read returns the same lists and builds nothing more
+        assert ts[0].messages is messages and ts[0].local_ops is local_ops
+        assert len(built) == len(messages) + len(local_ops)
+        assert [msg.seq for msg in messages] == sorted(msg.seq for msg in messages)
+        assert all(msg.payload is ts[0].payloads[msg.seq - 1] for msg in messages)
+
+    def test_built_lists_are_the_transcript(self, layout2):
+        cfg = scot_config("pcc", 2, 2, layout2)
+        t = run_pcc(cfg, np.zeros((2, 2), dtype=np.int64), 0, 5)
+        assert protocol.receiver_to_sender_kinds(t) == ["basis_shift"]
+        t.messages.append(dataclasses.replace(t.messages[0], sender="B1", receiver="A0"))
+        assert protocol.receiver_to_sender_kinds(t) == ["basis_shift", t.messages[0].kind]
+        assert obliviousness_audit([t]).bob_to_alice == 1
+
+    def test_non_bit_inputs_rejected(self, layout2):
+        cfg = scot_config("pqc", 2, 2, layout2)
+        for bad in (2, -1):
+            with pytest.raises(ConfigError, match="bits"):
+                run_pqc(cfg, np.full((2, 2), bad), 0, 0)
+
+
+class TestVerdictCache:
+    """The verdict kept on a schedule is derived from geometry and can fail."""
+
+    def test_retargeted_layout_gets_the_full_check(self):
+        layout = standard_layout(2)
+        t = run_psr(scot_config("psr", 2, 2, layout), 0, 0)
+        assert_clean(t)
+        ok, violations = verify_transcript(t, _shifted(layout))
+        assert not ok
+        assert any(v["kind"] == "event_off_worldline" for v in violations)
+        assert_clean(t)
+        # the schedule's own layout object keys the verdict, not the field
+        t.layout = _shifted(layout)
+        ok, violations = verify_transcript(t)
+        assert not ok
+        assert any(v["kind"] == "event_off_worldline" for v in violations)
+
+    def test_verdict_is_derived_not_assumed(self, monkeypatch):
+        t = run_pqc(scot_config("pqc", 2, 2, standard_layout(2)), np.zeros((2, 2)), 1, 0)
+        monkeypatch.setattr(protocol, "placement_satisfied", lambda *args: False)
+        ok, violations = verify_transcript(t)
+        assert not ok
+        assert any(v["kind"] == "placement_violated" for v in violations)
+
+    def test_tampering_after_a_clean_verdict_is_caught(self, layout2):
+        cfg = scot_config("psr", 2, 2, layout2)
+        t = run_psr(cfg, 0, 0)
+        assert_clean(t)
+        op = t.local_ops[0]
+        t.local_ops[0] = dataclasses.replace(op, event=Event(op.event.t + 0.5, op.event.x))
+        ok, violations = verify_transcript(t)
+        assert not ok
+        assert any(v["kind"] == "event_off_worldline" for v in violations)
+        assert_clean(run_psr(cfg, 0, 1))
+
+    def test_old_transcripts_verify_after_eviction(self):
+        layouts = [standard_layout(2) for _ in range(3)]
+        old = [run_psr(scot_config("psr", 2, 1, lay), 0, k) for k, lay in enumerate(layouts)]
+        assert_clean(old[0])
+        for k in range(20):
+            assert_clean(run_psr(scot_config("psr", 2, 1, standard_layout(2)), 1, k))
+        assert all(id(lay) not in protocol._GEOMETRY_CACHE for lay in layouts)
+        for t in old:
+            assert_clean(t)
+        assert verify_transcript(old[1], layouts[2])[0]
+        ok, violations = verify_transcript(old[2], _shifted(layouts[2]))
+        assert not ok
+        assert any(v["kind"] == "event_off_worldline" for v in violations)
