@@ -22,7 +22,9 @@ block V_e per outcome with P_e = V_e V_e^dagger (see
 column slices of one Haar unitary, the closed-form strategies Kronecker
 products of basis columns and identities.  The contraction kernel reads
 the blocks as zero-padded column stacks and never builds a d x d
-projector; it encodes each shuffle tuple round by round.  The see-saw
+projector nor a dense encoding: it encodes each shuffle tuple round by
+round and undoes it the same way for the gradient, and the lemma check
+(:func:`verify_sandwich_norm`) reads the same round factors.  The see-saw
 keeps the blocks as its state, and the kernel hands it score factors
 X_e rather than d x d score operators (S_e is proportional to
 X_e X_e^dagger).  An exchange of outcomes a and b therefore needs no
@@ -174,11 +176,13 @@ class _Game:
 
     ``rounds[pi]`` encodes one round under permutation pi: its column
     ``col`` is the product state of the round's bits read off ``col``
-    slot-major.  Per shuffle tuple s this caches the whole encoding
-    isometry B_s, the decoded values (e0, e1) per column, and ``slots``:
-    the decode slots of targets l0 and l1, one per round, then the rest.
-    Transposing the column bits into that order sorts the columns by
-    (e0, e1), each pair owning K = dim_a / l**(2n) of them.
+    slot-major.  A shuffle tuple s encodes by the Kronecker product of
+    ``rounds[s[j]]`` over rounds j, never built as one matrix.
+    ``slots[si]`` holds the decode slots of targets l0 and l1, one per
+    round, then the rest.  Transposing the column bits into that order
+    sorts the columns by (e0, e1), each pair owning K = dim_a / l**(2n)
+    of them.  ``cross_norms`` keeps the lemma check's round norms per
+    (pi, rho), filled as :func:`verify_sandwich_norm` asks for them.
     """
 
     def __init__(self, config: DqacmConfig, targets: tuple[int, int]):
@@ -208,19 +212,11 @@ class _Game:
             for pi in enumerate_permutations(m)
         }
 
-        cols = np.arange(self.dim_a)
-        mn = m * n
-        # bit of slot k in column col, slots ordered round-major, big-endian
-        bit = [(cols >> (mn - 1 - k)) & 1 for k in range(mn)]
-        self.encoders, self.decoded, self.slots = [], [], []
+        self.cross_norms: dict[tuple, float] = {}
+        self.slots = []
         for s in self.s_tuples:
-            # Folded slot by slot, not from rounds: scotsim verify pins its rounding.
-            b = functools.reduce(np.kron, [bases[i].T for pi in s for i in np.argsort(pi)])
-            self.encoders.append(b)
             decode = [tuple(j * m + s[j][t] for j in range(n)) for t in (l0, l1)]
-            e = [sum(bit[k] << (n - 1 - j) for j, k in enumerate(d)) for d in decode]
-            self.decoded.append(e)
-            rest = tuple(k for k in range(mn) if k not in decode[0] + decode[1])
+            rest = tuple(k for k in range(m * n) if k not in decode[0] + decode[1])
             self.slots.append((*decode, rest))
 
     def ball(self, gamma: float) -> np.ndarray:
@@ -399,7 +395,8 @@ def _contract(
     (4, 64, 8), against (4, 64, 64) for the score operators.
     ``grad=True`` (``scores`` None) gives the linear gradient G with
     ``Re tr(U^dagger G) = value``, expanding the compressed state back
-    and undoing ``B_s``; both are None when not asked for.
+    and undoing ``B_s`` round by round: the last round per shuffle, the
+    shared rounds once per group; both are None when not asked for.
     """
     n_out, d_a, n = game.n_out, game.dim_a, game.n
     total = unitary.shape[0]
@@ -415,36 +412,42 @@ def _contract(
     value = 0.0
     score_factors = [] if scores is not None else None
     h = np.zeros((total, d_a), dtype=np.complex128) if grad else None
-    prefix = None
-    for si, s in enumerate(game.s_tuples):
-        if s[:-1] != prefix:
-            prefix, shared = s[:-1], m_op
-            for j, pi in enumerate(prefix):
-                shared = game.rounds[pi].T @ shared.reshape(-1, size, size ** (n - 1 - j))
-        v = shared.reshape(-1, size) @ game.rounds[s[-1]]
-        bits = [tuple(nf + k for k in slots) for slots in game.slots[si]]
-        axes = bits[first] + split[first] + bits[other] + split[other] + bits[2]
-        v = v.reshape(factors + (game.l,) * (n * game.m)).transpose(axes)
-        q = [c0[si], c1[si]]
-        if ball is not None:
-            q = [c[ball].transpose(0, 2, 1, 3).reshape(n_out, c.shape[1], -1) for c in q]
-        cf, co = q[first], q[other]
-        y = cf.conj().swapaxes(1, 2) @ v.reshape(n_out, dims[first], -1)
-        if score_factors is not None:
-            # Padded columns are all zero; so are their rows of y, dropped here.
-            y = y[cf.any(axis=1)].reshape(dims[first], n_out, dims[other], -1)
-            y = y.transpose(1, 2, 0, 3).reshape(n_out, dims[other], -1)
-            score_factors.append(y)
-        else:
-            y = y.reshape(n_out, cf.shape[2], n_out, dims[other], -1).transpose(2, 3, 0, 1, 4)
-        z = co.conj().swapaxes(1, 2) @ y.reshape(n_out, dims[other], -1)
-        value += np.vdot(z, z).real
+    groups = itertools.groupby(enumerate(game.s_tuples), key=lambda item: item[1][:-1])
+    for prefix, group in groups:
+        shared = m_op
+        for j, pi in enumerate(prefix):
+            shared = game.rounds[pi].T @ shared.reshape(-1, size, size ** (n - 1 - j))
+        acc = 0.0
+        for si, s in group:
+            v = shared.reshape(-1, size) @ game.rounds[s[-1]]
+            bits = [tuple(nf + k for k in slots) for slots in game.slots[si]]
+            axes = bits[first] + split[first] + bits[other] + split[other] + bits[2]
+            v = v.reshape(factors + (game.l,) * (n * game.m)).transpose(axes)
+            q = [c0[si], c1[si]]
+            if ball is not None:
+                q = [c[ball].transpose(0, 2, 1, 3).reshape(n_out, c.shape[1], -1) for c in q]
+            cf, co = q[first], q[other]
+            y = cf.conj().swapaxes(1, 2) @ v.reshape(n_out, dims[first], -1)
+            if score_factors is not None:
+                # Padded columns are all zero; so are their rows of y, dropped here.
+                y = y[cf.any(axis=1)].reshape(dims[first], n_out, dims[other], -1)
+                y = y.transpose(1, 2, 0, 3).reshape(n_out, dims[other], -1)
+                score_factors.append(y)
+            else:
+                y = y.reshape(n_out, cf.shape[2], n_out, dims[other], -1).transpose(2, 3, 0, 1, 4)
+            z = co.conj().swapaxes(1, 2) @ y.reshape(n_out, dims[other], -1)
+            value += np.vdot(z, z).real
+            if h is not None:
+                g = (co @ z).reshape(n_out, dims[other], n_out, cf.shape[2], -1)
+                g = cf @ g.transpose(2, 3, 0, 1, 4).reshape(cf.shape[0], cf.shape[2], -1)
+                undo = sorted(range(len(axes)), key=axes.__getitem__)
+                g = g.reshape(v.shape).transpose(undo)
+                acc = acc + g.reshape(-1, size) @ game.rounds[s[-1]].conj().T
         if h is not None:
-            g = (co @ z).reshape(n_out, dims[other], n_out, cf.shape[2], -1)
-            g = cf @ g.transpose(2, 3, 0, 1, 4).reshape(cf.shape[0], cf.shape[2], -1)
-            undo = sorted(range(len(axes)), key=axes.__getitem__)
-            g = g.reshape(v.shape).transpose(undo)
-            h += g.reshape(total, d_a) @ game.encoders[si].conj().T
+            # B_s^dagger round by round: the shared rounds once per group.
+            for j, pi in enumerate(prefix):
+                acc = game.rounds[pi].conj() @ acc.reshape(-1, size, size ** (n - 1 - j))
+            h += acc.reshape(total, d_a)
     g = None if h is None else norm * (h[:, :, None] * chi.conj()).reshape(total, total)
     return float(value) * norm, score_factors, g
 
@@ -792,18 +795,21 @@ def verify_sandwich_norm(
     targets: tuple[int, int] = (0, 1),
     tol: float = 1e-9,
 ) -> SandwichNormResult:
-    """Numerically check the projected-overlap norm bound for one (s, v).
+    """Check the projected-overlap norm bound for one (s, v) on encoding spans.
 
-    On the space (message register) x (branch 0) x (branch 1), the first
-    projector pairs each branch-0 outcome with the span of the register
-    encodings under s that decode to it; the second does the same for
-    branch 1 under the composed shuffle.  Distinct shuffles encode into
-    non-orthogonal spans, which is where the overlap parameter enters:
-    the sandwich norm (first-second-first) must not exceed lam to the
-    power of the aliasing weight of v, and equals the squared norm of
-    the plain product since both factors are projectors.  Measurements
-    must be rank-1 with ``l**n`` outcomes on an ``l**n``-dimensional
-    branch space, mirroring an honest decoder's resolution.
+    On (message register) x (branch 0) x (branch 1), the first projector
+    pairs each branch-0 outcome e with the span A_e of the encodings
+    under s that decode to e at target l0, the second each branch-1
+    outcome e' with the span B_e' under the composed shuffle sv at l1.
+    Outcomes are orthogonal, so the product's norm is the largest
+    ``||A_e^dagger B_e'||``: over rounds j, the Kronecker product of
+    ``R_{s_j}^dagger R_{sv_j}`` (``_Game.rounds``) cut to rows where slot
+    ``s[j][l0]`` reads e_j and columns where ``sv[j][l1]`` reads e'_j.
+    ``product_norm`` multiplies each round's largest block norm, and the
+    sandwich norm (first-second-first), its square, must not exceed lam
+    to the power of the aliasing weight of v.  Measurements must be
+    rank-1 with ``l**n`` outcomes on an ``l**n``-dimensional branch
+    space, as an honest decoder's are; then no outcome is null.
     """
     game = _game_for(config, targets)
     s = tuple(tuple(p) for p in s)
@@ -816,31 +822,24 @@ def verify_sandwich_norm(
         raise ValueError("branch spaces must have dimension l**n")
     if set(meas0.ranks + meas1.ranks) != {1}:
         raise ValueError("measurements must be rank-1")
+    if s not in game.s_tuples:
+        raise ValueError(f"{s} is not a shuffle tuple of the game")
 
     sv = compose_shuffles(s, v)
     omega = omega_weight(v, l0, l1, s)
-    lam = overlap_lambda(config.family)
-    si = game.s_tuples.index(s)
-    svi = game.s_tuples.index(sv)
-
-    d_a = game.dim_a
-    eye0 = np.eye(n_out)
-    eye1 = np.eye(n_out)
-    b_s = game.encoders[si]
-    b_sv = game.encoders[svi]
-    proj0 = np.zeros((d_a * n_out * n_out,) * 2, dtype=np.complex128)
-    proj1 = np.zeros_like(proj0)
-    for e in range(n_out):
-        cols0 = b_s[:, game.decoded[si][0] == e]
-        cols1 = b_sv[:, game.decoded[svi][1] == e]
-        proj0 += np.kron(cols0 @ cols0.conj().T, np.kron(meas0.projectors[e], eye1))
-        proj1 += np.kron(cols1 @ cols1.conj().T, np.kron(eye0, meas1.projectors[e]))
-
-    sandwich = spectral_norm(proj0 @ proj1 @ proj0)
-    product = spectral_norm(proj0 @ proj1)
-    bound = lam**omega
-    ok = sandwich <= bound + tol and abs(product * product - sandwich) <= 1e-8
-    return SandwichNormResult(omega, bound, sandwich, product, ok)
+    m, l = game.m, game.l
+    col = np.arange(l**m)
+    product = 1.0
+    for pi, rho in zip(s, sv):
+        if (pi, rho) not in game.cross_norms:
+            # The round factors' columns where the decode slot reads each bit.
+            a = [game.rounds[pi][:, (col >> (m - 1 - pi[l0])) & 1 == e] for e in range(l)]
+            b = [game.rounds[rho][:, (col >> (m - 1 - rho[l1])) & 1 == e] for e in range(l)]
+            game.cross_norms[pi, rho] = max(spectral_norm(x.conj().T @ y) for x in a for y in b)
+        product *= game.cross_norms[pi, rho]
+    sandwich = product * product
+    bound = overlap_lambda(config.family) ** omega
+    return SandwichNormResult(omega, bound, sandwich, product, sandwich <= bound + tol)
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,12 +4,14 @@ Lorentz boosts: the library itself never boosts anything; boosts exist
 only so the tests can check that the causal predicates are
 frame-independent.  A reference cheating-probability evaluator: slow
 and plainly correct, it pins the fast contraction kernel in
-``scotsim.adversary``, and a projector-form exchange pins the see-saw's
-column-block exchange.  A runner for snippets in a fresh interpreter,
+``scotsim.adversary``; a projector-form exchange pins the see-saw's
+column-block exchange, and dense projectors pin the lemma check on
+encoding spans.  A runner for snippets in a fresh interpreter,
 under ``python -O`` (where ``assert`` statements are stripped, to show
 that invariants survive it) or under a chosen environment.
 """
 
+import functools
 import itertools
 import math
 import os
@@ -19,6 +21,7 @@ import textwrap
 
 import numpy as np
 
+from scotsim.adversary import compose_shuffles
 from scotsim.dqacm import enumerate_permutations
 from scotsim.minkowski import Event
 from scotsim.quantum import prepare_product_state
@@ -128,6 +131,39 @@ def reference_exchange_update(projs, scores, split_tol: float):
             out[a] = pos @ pos.conj().T
             out[b] = joint - out[a]
     return np.stack(out)
+
+
+def reference_sandwich_norm(config, s, v, meas0, meas1, targets=(0, 1)):
+    """Dense projected-overlap norms, the lemma check's plain reference.
+
+    Folds the encoding isometry of s and of the composed shuffle slot by
+    slot from the family's bases (qubit families), keeps the columns
+    whose decode slots read e at target l0 (l1 for the composed shuffle),
+    and builds both projectors on (register) x (branch 0) x (branch 1)
+    as dense matrices of side ``l**(m n) * l**(2n)``.  Returns the
+    spectral norms ``(sandwich, product)`` of Pi0 Pi1 Pi0 and Pi0 Pi1.
+    """
+    m, n, l = config.m, config.n, config.l
+    n_out = l**n
+    col = np.arange(l ** (m * n))
+    bases = config.family.bases
+
+    def span(shuffle, target, e):
+        b = functools.reduce(np.kron, [bases[i].T for pi in shuffle for i in np.argsort(pi)])
+        slots = [j * m + shuffle[j][target] for j in range(n)]
+        decoded = sum(((col >> (m * n - 1 - k)) & 1) << (n - 1 - j) for j, k in enumerate(slots))
+        c = b[:, decoded == e]
+        return c @ c.conj().T
+
+    sv = compose_shuffles(s, v)
+    eye = np.eye(n_out)
+    proj0 = sum(
+        np.kron(span(s, targets[0], e), np.kron(meas0.projectors[e], eye)) for e in range(n_out)
+    )
+    proj1 = sum(
+        np.kron(span(sv, targets[1], e), np.kron(eye, meas1.projectors[e])) for e in range(n_out)
+    )
+    return np.linalg.norm(proj0 @ proj1 @ proj0, 2), np.linalg.norm(proj0 @ proj1, 2)
 
 
 def run_python(body: str, *flags: str, env=None) -> subprocess.CompletedProcess:

@@ -1,11 +1,12 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import run_python
+from helpers import reference_sandwich_norm, run_python
 from scotsim import adversary, bounds, quantum
 from scotsim.adversary import (
     cheat_probability_exact,
@@ -340,6 +341,128 @@ class TestSandwichNormLemma:
         coarse = random_measurement(2, 2, rng, ranks=[2, 0])
         with pytest.raises(ValueError, match="rank-1"):
             verify_sandwich_norm(cfg21, ((0, 1),), ((0, 1),), coarse, coarse)
+
+
+def _phased_basis(theta, phi):
+    c, s, w = math.cos(theta / 2), math.sin(theta / 2), np.exp(1j * phi)
+    return [[c, w * s], [s, -w * c]]
+
+
+# The lemma check's families: two per m, one of them at m=3 with unequal
+# pairwise overlaps, so that a pair's own overlap differs from lambda, and
+# a complex one, where a conjugation missed in the cross-Gram shows.
+LEMMA_FAMILIES = {
+    "bb84": (2, bb84_family),
+    "planar(pi/3)": (2, lambda: planar_basis_family(2, (math.pi / 3,))),
+    "equal-spaced(3)": (3, lambda: equal_spaced_family(3)),
+    "planar(0.4,2.0)": (3, lambda: planar_basis_family(3, (0.4, 2.0))),
+    "phased(3)": (
+        3, lambda: BasisFamily([np.eye(2), _phased_basis(0.9, 0.5), _phased_basis(2.1, 2.0)])
+    ),
+}
+
+
+def _shuffle_pairs(m, n):
+    return itertools.product(itertools.product(enumerate_permutations(m), repeat=n), repeat=2)
+
+
+def _pair_overlap(family, l0, l1):
+    return float(np.abs(family.bases[l0].conj() @ family.bases[l1].T).max() ** 2)
+
+
+def _basis_measurement(n_out):
+    return quantum.ProjectiveMeasurement([np.eye(n_out)[:, [e]] for e in range(n_out)])
+
+
+class TestSandwichNormEquality:
+    @pytest.mark.parametrize("name", LEMMA_FAMILIES)
+    def test_equals_pair_overlap_to_the_weight(self, name):
+        # Every (s, v) and every ordered target pair: the norm is exactly
+        # lam_{l0 l1}**omega, so the check fails on either side.
+        m, make = LEMMA_FAMILIES[name]
+        family = make()
+        for n in (1, 2, 3) if m == 2 else (1, 2):
+            cfg = DqacmConfig(m=m, n=n, family=family)
+            meas = _basis_measurement(2**n)
+            for l0, l1 in itertools.permutations(range(m), 2):
+                lam = _pair_overlap(family, l0, l1)
+                for s, v in _shuffle_pairs(m, n):
+                    res = verify_sandwich_norm(cfg, s, v, meas, meas, targets=(l0, l1))
+                    assert abs(res.sandwich_norm - lam**res.omega) <= 1e-12, (n, l0, l1, s, v)
+                    assert res.ok
+
+    def test_pair_overlap_can_sit_below_lambda(self):
+        family = LEMMA_FAMILIES["planar(0.4,2.0)"][1]()
+        cfg = DqacmConfig(m=3, n=1, family=family)
+        lam = _pair_overlap(family, 0, 2)
+        assert lam < quantum.overlap_lambda(family) - 0.2
+        meas = _basis_measurement(2)
+        res = verify_sandwich_norm(cfg, ((0, 1, 2),), ((2, 1, 0),), meas, meas, targets=(0, 2))
+        assert res.omega == 1 and res.sandwich_norm == pytest.approx(lam, abs=1e-12)
+        assert res.sandwich_norm < res.bound - 0.2
+
+    @pytest.mark.parametrize(
+        "n,name", [(1, "planar(pi/3)"), (2, "planar(pi/3)"), (1, "planar(0.4,2.0)"), (1, "phased(3)")]
+    )
+    def test_matches_dense_reference(self, n, name, rng):
+        m, make = LEMMA_FAMILIES[name]
+        cfg = DqacmConfig(m=m, n=n, family=make())
+        n_out = 2**n
+        for targets in itertools.permutations(range(m), 2):
+            for s, v in _shuffle_pairs(m, n):
+                meas = [random_measurement(n_out, n_out, rng) for _ in (0, 1)]
+                res = verify_sandwich_norm(cfg, s, v, *meas, targets=targets)
+                sandwich, product = reference_sandwich_norm(cfg, s, v, *meas, targets=targets)
+                assert res.sandwich_norm == pytest.approx(sandwich, abs=1e-12)
+                assert res.product_norm == pytest.approx(product, abs=1e-12)
+
+
+class TestGradient:
+    @pytest.mark.parametrize("m,n", [(2, 1), (2, 2), (3, 1), (3, 2)])
+    def test_directional_difference(self, m, n):
+        # The value is exactly quadratic in U, so for any direction D the
+        # central difference p(U + tD) - p(U - tD) is 4t Re tr(D^dagger G):
+        # this tests all of G, not only its component along U.  The
+        # computational, circular and diagonal bases make the encoding
+        # complex, so a conjugation missed in undoing it shows.
+        h = 1 / math.sqrt(2)
+        mub = [np.eye(2), [[h, 1j * h], [h, -1j * h]], [[h, h], [h, -h]]]
+        cfg = DqacmConfig(m=m, n=n, family=BasisFamily(mub[:m]))
+        game = adversary._game_for(cfg, (0, 1))
+        canonical = tuple(range(m * n))
+        strategies = {}
+        for seed in range(50):
+            strat = random_strategy(cfg, (0, 1), rng=seed)
+            strategies.setdefault(strat.split[0] == canonical, (seed, strat))
+        assert len(strategies) == 2
+        for seed, strat in strategies.values():
+            cols = [[strat.measurements[(b, s)].columns for s in game.s_tuples] for b in (0, 1)]
+            layout = (strat.ancilla_state, strat.factors, strat.split, *cols)
+            grad = adversary._contract(game, strat.unitary, *layout, grad=True)[2]
+            rng = np.random.default_rng(seed)
+            delta = rng.standard_normal(grad.shape) + 1j * rng.standard_normal(grad.shape)
+            delta /= np.linalg.norm(delta)
+            t = 0.1
+            plus, minus = (
+                adversary._contract(game, strat.unitary + sign * t * delta, *layout)[0]
+                for sign in (1, -1)
+            )
+            want = 4 * t * np.vdot(delta, grad).real
+            assert plus - minus == pytest.approx(want, rel=1e-10, abs=0)
+
+
+def test_game_keeps_no_dense_encoding(monkeypatch):
+    # 216 shuffle tuples of 512 x 512 encoders would keep 864 MiB.
+    cfg = DqacmConfig(m=3, n=3, family=equal_spaced_family(3))
+    monkeypatch.setattr(adversary, "_GAME_CACHE", {})
+    tracemalloc.start()
+    try:
+        game = adversary._game_for(cfg, (0, 1))
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(game.s_tuples) == 216
+    assert kept < 16e6
 
 
 class TestProcedureEquivalence:

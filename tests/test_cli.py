@@ -241,7 +241,7 @@ class TestAttack:
         "args, digest",
         [
             ("--m 3 --n 2 --restarts 1 --iterations 2 --seed 0",
-             "a8a8d42707e68f15113d76b29a275a08a2d7afd72cf90c42a3be87673a756cce"),
+             "2099405b0be578cc1e89eab814edc464ec86fab0739a4adb3ae86dbe837c1c3b"),
             ("--m 2 --n 1 --restarts 2 --seed 0",
              "3b50c45b46d39eb8f1a368bf90808310524113798f02c258d127d332533228da"),
         ],
