@@ -56,6 +56,7 @@ from .quantum import (
     ProjectiveMeasurement,
     _as_rng,
     block_columns,
+    block_projectors,
     overlap_lambda,
     prepare_product_state,
     spectral_norm,
@@ -924,6 +925,34 @@ class EquivalenceResult:
         return self.ok
 
 
+def _register_columns(stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """The (E, G d, sum w_g) stacks of ``+_g V_g[e]`` on (register) x (half).
+
+    ``stacks[g]`` is the (E, d, w_g) column stack a branch applies when
+    its register reads g; each outcome's stack is block diagonal.
+    """
+    n_out, d = stacks[0].shape[:2]
+    out = np.zeros((n_out, len(stacks) * d, sum(c.shape[2] for c in stacks)), dtype=np.complex128)
+    col = 0
+    for g, c in enumerate(stacks):
+        out[:, g * d : (g + 1) * d, col : col + c.shape[2]] = c
+        col += c.shape[2]
+    return out
+
+
+def _write_records(blocks: np.ndarray) -> np.ndarray:
+    """``sum_g z_g (x) |g>_R |g>_0 |g>_1`` for the (G, d0, d1) blocks z_g.
+
+    Returned as a (G d0, G, G d1) array: branch 0's register and half,
+    the referee's register, branch 1's register and half.
+    """
+    n_gamma, d0, d1 = blocks.shape
+    rec = np.zeros((n_gamma, d0, n_gamma, n_gamma, d1), dtype=np.complex128)
+    for g, z in enumerate(blocks):
+        rec[g, :, g, g, :] = z
+    return rec.reshape(n_gamma * d0, n_gamma, n_gamma * d1)
+
+
 def verify_procedure_equivalence(
     config: DqacmConfig,
     strategy: BranchingStrategy,
@@ -932,59 +961,41 @@ def verify_procedure_equivalence(
 ) -> EquivalenceResult:
     """Compare destructive branching against coherent record-keeping.
 
-    Procedure 1 applies the branching measurement destructively and then
-    the selected product measurements, marginalizing the branch point.
-    Procedure 2 records the branch outcome coherently into one register
-    per party and lets each branch condition on its own register only.
-    For each of ``n_inputs`` random honest input states the two outcome
-    distributions must agree within total variation 1e-9.
+    Procedure 1 applies the branching measurement destructively, leaving
+    ``z_g = W_g W_g^dagger psi`` on (half 0) x (half 1); outcome (e0, e1)
+    then has probability ``sum_g ||V0_g[e0]^dagger z_g conj(V1_g[e1])||**2``.
+    Procedure 2 writes g coherently into the referee's register and one
+    register per branch (:func:`_write_records`), and each branch measures
+    its half and its own register with the block-diagonal stack
+    ``+_g V_g[e]`` (:func:`_register_columns`).  Neither builds a d x d
+    projector.  For each of ``n_inputs`` random honest input states the
+    two outcome distributions must agree within total variation 1e-9.
     """
     rng = _as_rng(seed)
     n_gamma = strategy.intermediate.n_outcomes
     d0, d1 = strategy.d0, strategy.d1
-    n_out = config.l**config.n
     perm = strategy.split[0] + strategy.split[1]
+    branching = strategy.intermediate.columns
+    cols = [[strategy.conditioned[g][b].columns for g in range(n_gamma)] for b in (0, 1)]
+    reg0, reg1 = (_register_columns(c) for c in cols)
     max_tv = 0.0
-    # registers: axis 2 referee, axis 3 branch 0, axis 4 branch 1.  Each
-    # input overwrites rec's diagonal and every slice of a and b.
-    rec = np.zeros((d0, d1, n_gamma, n_gamma, n_gamma), dtype=np.complex128)
-    a, b = np.empty_like(rec), np.empty_like(rec)
     for _ in range(n_inputs):
         inputs = sample_inputs(config, rng)
         base = prepare_product_state(config.family, inputs.r, inputs.s).amplitudes
-        chi = strategy.ancilla_state
-        psi = np.kron(base, chi)
-        y = strategy.unitary @ psi
-        yp = _permute_rows(y.reshape(-1, 1), strategy.factors, perm).reshape(-1)
+        y = strategy.unitary @ np.kron(base, strategy.ancilla_state)
+        yp = _permute_rows(y.reshape(-1, 1), strategy.factors, perm)
+        blocks = (branching @ (branching.conj().swapaxes(1, 2) @ yp)).reshape(n_gamma, d0, d1)
 
-        blocks = [(rg @ yp).reshape(d0, d1) for rg in strategy.intermediate.projectors]
+        p1 = 0.0
+        for z, c0, c1 in zip(blocks, *cols):
+            w = (c0.conj().swapaxes(1, 2) @ z)[:, None] @ c1.conj()
+            p1 = p1 + np.sum(np.abs(w) ** 2, axis=(2, 3))
 
-        p1 = np.zeros((n_out, n_out))
-        for g, z in enumerate(blocks):
-            m0, m1 = strategy.conditioned[g]
-            for e0 in range(n_out):
-                t = m0.projectors[e0] @ z
-                for e1 in range(n_out):
-                    w = t @ np.asarray(m1.projectors[e1]).T
-                    p1[e0, e1] += float(np.sum(np.abs(w) ** 2))
+        rec = _write_records(blocks).reshape(n_gamma * d0, -1)
+        t = (reg0.conj().swapaxes(1, 2) @ rec).reshape(len(reg0), -1, n_gamma * d1)
+        p2 = np.sum(np.abs(t[:, None] @ reg1.conj()) ** 2, axis=(2, 3))
 
-        for g, z in enumerate(blocks):
-            rec[:, :, g, g, g] = z
-        p2 = np.zeros((n_out, n_out))
-        for e0 in range(n_out):
-            for g0 in range(n_gamma):
-                m0 = strategy.conditioned[g0][0].projectors[e0]
-                a[:, :, :, g0, :] = np.tensordot(m0, rec[:, :, :, g0, :], axes=(1, 0))
-            for e1 in range(n_out):
-                for g1 in range(n_gamma):
-                    m1 = strategy.conditioned[g1][1].projectors[e1]
-                    b[:, :, :, :, g1] = np.moveaxis(
-                        np.tensordot(m1, a[:, :, :, :, g1], axes=(1, 1)), 0, 1
-                    )
-                p2[e0, e1] = float(np.sum(np.abs(b) ** 2))
-
-        tv = 0.5 * float(np.abs(p1 - p2).sum())
-        max_tv = max(max_tv, tv)
+        max_tv = max(max_tv, 0.5 * float(np.abs(p1 - p2).sum()))
     return EquivalenceResult(max_tv < 1e-9, max_tv)
 
 
@@ -998,6 +1009,7 @@ def strategy_hash(strategy: Strategy) -> str:
     h.update(np.round(strategy.unitary, 12).tobytes())
     for key in sorted(strategy.measurements.keys()):
         h.update(repr(key).encode())
-        for p in strategy.measurements[key].projectors:
+        # One outcome stack at a time: no pile of d x d projectors is kept.
+        for p in block_projectors(strategy.measurements[key].columns):
             h.update(np.round(p, 12).tobytes())
     return h.hexdigest()

@@ -18,8 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import quantum
-from .quantum import BasisFamily, PureState, _as_rng
+from .quantum import BasisFamily, _as_rng
 
 __all__ = [
     "DqacmConfig",
@@ -70,21 +69,18 @@ class DqacmConfig:
         """Cumulative outcome distributions for single-slot measurements.
 
         ``slot_cdf()[c, i, r]`` is the cumulative Born distribution of
-        measuring the basis-i bit-r carrier in basis c, computed once
-        through :mod:`scotsim.quantum` and cached.  Product states make
-        slot-wise sampling exact, which keeps honest runs cheap at any
-        m * n.
+        measuring the basis-i bit-r carrier in basis c: the cumulative sum
+        over a of ``|<b_c[a]|b_i[r]>|**2``, built once and cached.  Its
+        last entry is set to exactly 1, so a uniform draw below 1 always
+        lands on an outcome below l.  Product states make slot-wise
+        sampling exact, which keeps honest runs cheap at any m * n.
         """
         if self._slot_cdf is None:
-            l, m = self.l, self.m
-            table = np.empty((m, m, l, l))
-            for c in range(m):
-                meas = quantum.basis_measurement(self.family, c)
-                for i in range(m):
-                    for r in range(l):
-                        state = PureState(self.family.bases[i, r], (l,))
-                        table[c, i, r] = quantum.full_distribution(state, meas)
-            self._slot_cdf = np.cumsum(table, axis=-1)
+            bases = self.family.bases
+            overlaps = np.einsum("cax,irx->cira", bases.conj(), bases)
+            table = np.cumsum(np.abs(overlaps) ** 2, axis=-1)
+            table[..., -1] = 1.0
+            self._slot_cdf = table
         return self._slot_cdf
 
 

@@ -235,14 +235,13 @@ class ValidatedLayout:
     """A :class:`Layout` that passed :func:`validate_layout`."""
 
     layout: Layout
-    eps: float = 0.0
 
     @property
     def m(self) -> int:
         return self.layout.m
 
 
-def check_layout(layout: Layout, eps: float = 0.0) -> list[dict]:
+def check_layout(layout: Layout) -> list[dict]:
     """Collect all invariant violations of ``layout``.
 
     Returns an empty list for a valid layout.  Checked invariants:
@@ -276,7 +275,7 @@ def check_layout(layout: Layout, eps: float = 0.0) -> list[dict]:
     for i, j in itertools.combinations(range(len(layout.regions)), 2):
         for a in layout.regions[i].events:
             for b in layout.regions[j].events:
-                if not spacelike_separated(a, b, eps):
+                if not spacelike_separated(a, b):
                     out.append(
                         {
                             "kind": "regions_not_spacelike",
@@ -292,13 +291,13 @@ def check_layout(layout: Layout, eps: float = 0.0) -> list[dict]:
             break
 
     for i, q in enumerate(layout.q_points):
-        if i < len(layout.regions) and not layout.regions[i].contains(q, eps):
+        if i < len(layout.regions) and not layout.regions[i].contains(q):
             out.append({"kind": "q_point_outside_region", "i": i, "q": [q.t, *q.x]})
 
     for name, verts in layout.worldlines:
         for k in range(len(verts) - 1):
             a, b = verts[k], verts[k + 1]
-            if b.t <= a.t or not causally_precedes(a, b, eps):
+            if b.t <= a.t or not causally_precedes(a, b):
                 out.append(
                     {
                         "kind": "worldline_not_causal",
@@ -312,12 +311,12 @@ def check_layout(layout: Layout, eps: float = 0.0) -> list[dict]:
     return out
 
 
-def validate_layout(layout: Layout, eps: float = 0.0) -> ValidatedLayout:
+def validate_layout(layout: Layout) -> ValidatedLayout:
     """Validate and wrap ``layout``, raising :class:`LayoutError` on failure."""
-    violations = check_layout(layout, eps)
+    violations = check_layout(layout)
     if violations:
         raise LayoutError(violations)
-    return ValidatedLayout(layout, eps)
+    return ValidatedLayout(layout)
 
 
 def _event_to_json(e: Event) -> list[float]:

@@ -7,13 +7,13 @@ position permutations, Born-rule measurement of whole states or chosen
 subsystems, and a couple of dense linear-algebra helpers.  Every
 projective measurement is built from one block of orthonormal columns
 per outcome, checked once by a single Gram matrix, and kept as a padded
-column stack; its projectors are built on first read.  Everything is
-dense numpy; preparation is capped at 2**12 total dimensions.
+column stack; measuring compresses a state with those columns, and no
+d x d projector is kept.  Everything is dense numpy; preparation is
+capped at 2**12 total dimensions.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -37,7 +37,6 @@ __all__ = [
     "prepare_product_state",
     "block_columns",
     "block_projectors",
-    "basis_measurement",
     "measure",
     "full_distribution",
     "spectral_norm",
@@ -177,10 +176,6 @@ class PureState:
         object.__setattr__(self, "amplitudes", vec)
         object.__setattr__(self, "dims", dims)
 
-    @property
-    def total_dim(self) -> int:
-        return self.amplitudes.size
-
 
 def prepare_product_state(
     family: BasisFamily, r, s: Sequence[Sequence[int]]
@@ -251,11 +246,10 @@ class ProjectiveMeasurement:
     a d x d matrix V with ``V^dagger V = I`` within ``PROJECTOR_TOL``.
     That makes every P_e Hermitian and idempotent, the P_e mutually
     orthogonal, and their sum the identity.  ``columns`` is the read-only
-    (E, d, w) :func:`block_columns` stack, ``ranks`` lists the r_e, and
-    ``projectors``, the read-only (E, d, d) stack of the P_e, is built from
-    ``columns`` by :func:`block_projectors` on first read.  ``subsystems``
-    restricts the action to the listed tensor factors of the measured
-    state (None means the whole space).
+    (E, d, w) :func:`block_columns` stack and ``ranks`` lists the r_e;
+    :func:`block_projectors` builds the P_e from ``columns`` where a
+    caller needs them.  ``subsystems`` restricts the action to the listed
+    tensor factors of the measured state (None means the whole space).
     """
 
     columns: np.ndarray
@@ -294,12 +288,6 @@ class ProjectiveMeasurement:
             None if subsystems is None else tuple(int(i) for i in subsystems),
         )
 
-    @functools.cached_property
-    def projectors(self) -> np.ndarray:
-        projectors = block_projectors(self.columns)
-        projectors.setflags(write=False)
-        return projectors
-
     @property
     def n_outcomes(self) -> int:
         return len(self.columns)
@@ -307,13 +295,6 @@ class ProjectiveMeasurement:
     @property
     def dim(self) -> int:
         return self.columns.shape[1]
-
-
-def basis_measurement(
-    family: BasisFamily, i: int, subsystems: tuple[int, ...] | None = None
-) -> ProjectiveMeasurement:
-    """Rank-1 measurement in basis ``i`` of the family."""
-    return ProjectiveMeasurement([v[:, None] for v in family.bases[i]], subsystems)
 
 
 def _measured_matrix(state: PureState, meas: ProjectiveMeasurement):
@@ -345,12 +326,11 @@ class MeasureResult:
 
 
 def full_distribution(state: PureState, meas: ProjectiveMeasurement) -> np.ndarray:
-    """Born probabilities of every outcome, in projector order."""
+    """Born probabilities ``||V_e^dagger psi||**2`` of every outcome, in outcome order."""
     mat, _, _ = _measured_matrix(state, meas)
-    probs = np.array(
-        [float(np.sum(np.abs(p @ mat) ** 2)) for p in meas.projectors]
-    )
-    # Completeness of the projector family keeps the total at 1.
+    compressed = meas.columns.conj().swapaxes(1, 2) @ mat
+    probs = np.sum(np.abs(compressed) ** 2, axis=(1, 2))
+    # Completeness of the column blocks keeps the total at 1.
     return probs / probs.sum()
 
 
@@ -360,7 +340,8 @@ def measure(state: PureState, meas: ProjectiveMeasurement, rng) -> MeasureResult
     mat, subs, rest = _measured_matrix(state, meas)
     probs = full_distribution(state, meas)
     outcome = int(rng.choice(len(probs), p=probs))
-    collapsed = meas.projectors[outcome] @ mat
+    v = meas.columns[outcome]
+    collapsed = v @ (v.conj().T @ mat)
     collapsed /= np.linalg.norm(collapsed)
     meas_dims = tuple(state.dims[i] for i in subs)
     rest_dims = tuple(state.dims[i] for i in rest)

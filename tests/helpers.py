@@ -6,7 +6,8 @@ frame-independent.  A reference cheating-probability evaluator: slow
 and plainly correct, it pins the fast contraction kernel in
 ``scotsim.adversary``; a projector-form exchange pins the see-saw's
 column-block exchange, and dense projectors pin the lemma check on
-encoding spans.  A runner for snippets in a fresh interpreter,
+encoding spans.  A faulty record writer for the procedure-equivalence
+check, which must then fail.  A runner for snippets in a fresh interpreter,
 under ``python -O`` (where ``assert`` statements are stripped, to show
 that invariants survive it) or under a chosen environment.
 """
@@ -24,7 +25,7 @@ import numpy as np
 from scotsim.adversary import compose_shuffles
 from scotsim.dqacm import enumerate_permutations
 from scotsim.minkowski import Event
-from scotsim.quantum import prepare_product_state
+from scotsim.quantum import block_projectors, prepare_product_state
 
 
 def boost_event(e: Event, velocity) -> Event:
@@ -91,8 +92,8 @@ def reference_cheat_probability(config, strategy, gamma: float = 0.0) -> float:
 
     total, count = 0.0, 0
     for s in itertools.product(enumerate_permutations(m), repeat=n):
-        p0 = strategy.measurements[(0, s)].projectors
-        p1 = strategy.measurements[(1, s)].projectors
+        p0 = block_projectors(strategy.measurements[(0, s)].columns)
+        p1 = block_projectors(strategy.measurements[(1, s)].columns)
         joint = {}
         for bits in itertools.product(range(l), repeat=m * n):
             r = np.reshape(bits, (m, n))
@@ -158,12 +159,26 @@ def reference_sandwich_norm(config, s, v, meas0, meas1, targets=(0, 1)):
     sv = compose_shuffles(s, v)
     eye = np.eye(n_out)
     proj0 = sum(
-        np.kron(span(s, targets[0], e), np.kron(meas0.projectors[e], eye)) for e in range(n_out)
+        np.kron(span(s, targets[0], e), np.kron(block_projectors(meas0.columns)[e], eye)) for e in range(n_out)
     )
     proj1 = sum(
-        np.kron(span(sv, targets[1], e), np.kron(eye, meas1.projectors[e])) for e in range(n_out)
+        np.kron(span(sv, targets[1], e), np.kron(eye, block_projectors(meas1.columns)[e])) for e in range(n_out)
     )
     return np.linalg.norm(proj0 @ proj1 @ proj0, 2), np.linalg.norm(proj0 @ proj1, 2)
+
+
+def records_without_branch1(blocks):
+    """A faulty stand-in for ``adversary._write_records``.
+
+    Writes the branching outcome g into the referee's and branch 0's
+    registers only; branch 1's register stays at 0, so branch 1 always
+    applies its g = 0 measurement.
+    """
+    n_gamma, d0, d1 = blocks.shape
+    rec = np.zeros((n_gamma, d0, n_gamma, n_gamma, d1), dtype=np.complex128)
+    for g, z in enumerate(blocks):
+        rec[g, :, g, 0, :] = z
+    return rec.reshape(n_gamma * d0, n_gamma, n_gamma * d1)
 
 
 def run_python(body: str, *flags: str, env=None) -> subprocess.CompletedProcess:

@@ -86,9 +86,15 @@ def _grid_points():
     for n in (1, 2):
         out.append(("m2 planar(pi/3)", 2, n, (math.pi / 3,)))
         out.append(("m2 planar(pi/2)", 2, n, (math.pi / 2,)))
-        out.append(("m2 equal-spaced", 2, n, (math.pi / 2,)))
+        out.append(("m2 planar(pi/4)", 2, n, (math.pi / 4,)))
         out.append(("m3 equal-spaced", 3, n, (math.pi / 3, 2 * math.pi / 3)))
     return out
+
+
+def test_grid_points_are_distinct():
+    # The rng seed is hash((m, n, thetas)): equal points draw equal strategies.
+    points = [(m, n, thetas) for _, m, n, thetas in _grid_points()]
+    assert len(set(points)) == len(points) == 8
 
 
 @pytest.fixture(scope="module")

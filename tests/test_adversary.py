@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import reference_sandwich_norm, run_python
+from helpers import records_without_branch1, reference_sandwich_norm, run_python
 from scotsim import adversary, bounds, quantum
 from scotsim.adversary import (
     cheat_probability_exact,
@@ -149,6 +149,7 @@ class TestRandomStrategies:
             import hashlib
             import numpy as np
             from scotsim.adversary import random_measurement, random_strategy, strategy_hash
+            from scotsim.quantum import block_projectors
             from scotsim.dqacm import DqacmConfig
             from scotsim.quantum import equal_spaced_family
             for m, n in [(2, 1), (2, 2), (3, 1), (3, 2)]:
@@ -160,7 +161,7 @@ class TestRandomStrategies:
             h = hashlib.sha256()
             for dim, n_out in [(2, 4), (3, 2), (8, 4), (64, 4)]:
                 for seed in range(3):
-                    for p in random_measurement(dim, n_out, seed).projectors:
+                    for p in block_projectors(random_measurement(dim, n_out, seed).columns):
                         h.update(np.asarray(p).tobytes())
             print(h.hexdigest())
             """,
@@ -391,6 +392,26 @@ class TestSandwichNormEquality:
                     assert abs(res.sandwich_norm - lam**res.omega) <= 1e-12, (n, l0, l1, s, v)
                     assert res.ok
 
+    @pytest.mark.parametrize("name", [k for k, (m, _) in LEMMA_FAMILIES.items() if m == 3])
+    def test_equals_pair_overlap_at_m3_n3(self, name):
+        # 216**2 (s, v) pairs are too many to enumerate; a seeded sample
+        # of 50 per ordered target pair covers every weight 0 to 3.
+        family = LEMMA_FAMILIES[name][1]()
+        cfg = DqacmConfig(m=3, n=3, family=family)
+        meas = _basis_measurement(8)
+        tuples = list(itertools.product(enumerate_permutations(3), repeat=3))
+        rng = np.random.default_rng(33)
+        weights = set()
+        for l0, l1 in itertools.permutations(range(3), 2):
+            lam = _pair_overlap(family, l0, l1)
+            for i, k in rng.integers(len(tuples), size=(50, 2)):
+                s, v = tuples[i], tuples[k]
+                res = verify_sandwich_norm(cfg, s, v, meas, meas, targets=(l0, l1))
+                assert abs(res.sandwich_norm - lam**res.omega) <= 1e-12, (l0, l1, s, v)
+                assert res.ok
+                weights.add(res.omega)
+        assert weights == {0, 1, 2, 3}
+
     def test_pair_overlap_can_sit_below_lambda(self):
         family = LEMMA_FAMILIES["planar(0.4,2.0)"][1]()
         cfg = DqacmConfig(m=3, n=1, family=family)
@@ -482,3 +503,13 @@ class TestProcedureEquivalence:
     def test_result_is_truthy(self, cfg21):
         strat = random_branching_strategy(cfg21, (0, 1), rng=1)
         assert bool(verify_procedure_equivalence(cfg21, strat, n_inputs=2))
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_record_missing_from_branch_1_fails(self, m, monkeypatch):
+        cfg = DqacmConfig(m=m, n=1, family=equal_spaced_family(m))
+        strat = random_branching_strategy(cfg, (0, 1), rng=0)
+        assert verify_procedure_equivalence(cfg, strat, n_inputs=2).ok
+        monkeypatch.setattr(adversary, "_write_records", records_without_branch1)
+        res = verify_procedure_equivalence(cfg, strat, n_inputs=2)
+        assert not res.ok
+        assert res.max_tv > 1e-9

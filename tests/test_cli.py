@@ -5,8 +5,8 @@ import math
 
 import pytest
 
-from helpers import run_python
-from scotsim import bounds, protocol
+from helpers import records_without_branch1, run_python
+from scotsim import adversary, bounds, protocol
 from scotsim.cli import EXIT_FAILED, main
 from scotsim.minkowski import Event, Layout, layout_to_json, validate_layout
 from scotsim.protocol import standard_layout
@@ -304,3 +304,14 @@ class TestVerify:
         assert rc == EXIT_FAILED == 1
         assert "FAIL  weight-counting-identity" in lines
         assert sum(ln.startswith("PASS") for ln in lines) == 3
+
+    def test_faulty_record_fails_equivalence(self, capsys, monkeypatch):
+        monkeypatch.setattr(adversary, "_write_records", records_without_branch1)
+        rc = main(
+            ["verify", "--m", "2", "--n", "1", "--draws", "1",
+             "--equiv-strategies", "2", "--probes", "1"]
+        )
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == EXIT_FAILED == 1
+        failed = [ln for ln in lines if ln.startswith("FAIL")]
+        assert len(failed) == 1 and failed[0].startswith("FAIL  procedure-equivalence m=2 n=1")

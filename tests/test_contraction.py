@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from helpers import reference_cheat_probability, run_optimized
-from scotsim import adversary
+from scotsim import adversary, quantum
 from scotsim.adversary import (
     Strategy,
     cheat_probability_exact,
@@ -24,7 +24,7 @@ from scotsim.adversary import (
     random_strategy,
 )
 from scotsim.dqacm import DqacmConfig
-from scotsim.quantum import equal_spaced_family
+from scotsim.quantum import block_projectors, equal_spaced_family
 
 PIN = 1e-12
 GRID = [(2, 1), (2, 2), (3, 1), (3, 2)]
@@ -51,7 +51,7 @@ def _run_kernel(cfg, strat, **want):
     meas = [[strat.measurements[(b, s)] for s in game.s_tuples] for b in (0, 1)]
     cols = [[pm.columns for pm in per_branch] for per_branch in meas]
     args = (game, strat.unitary, strat.ancilla_state, strat.factors, strat.split, *cols)
-    p0, p1 = ([pm.projectors for pm in per_branch] for per_branch in meas)
+    p0, p1 = ([block_projectors(pm.columns) for pm in per_branch] for per_branch in meas)
     return adversary._contract(*args, **want), p0, p1
 
 
@@ -79,7 +79,11 @@ def test_rank_zero_outcomes_match_reference(m, n, ancilla_dim):
         if random_strategy(cfg, (0, 1), ancilla_dim, rng=seed).d1 == ancilla_dim
     )
     strat = random_strategy(cfg, (0, 1), ancilla_dim, rng=next(seeds))
-    ranks = [np.trace(p).real for pm in strat.measurements.values() for p in pm.projectors]
+    ranks = [
+        np.trace(p).real
+        for pm in strat.measurements.values()
+        for p in block_projectors(pm.columns)
+    ]
     assert min(ranks) == pytest.approx(0.0, abs=1e-12)
     for gamma in (0.0, 0.5):
         assert cheat_probability_gamma(cfg, strat, gamma) == pytest.approx(
@@ -109,11 +113,16 @@ def test_small_gamma_is_the_exact_game(m, n):
     assert cheat_probability_gamma(cfg, strat, 0.1) == cheat_probability_exact(cfg, strat)
 
 
-def test_scoring_builds_no_projectors(cfg32):
+def test_scoring_builds_no_projectors(cfg32, monkeypatch):
     strat = random_strategy(cfg32, (0, 1), rng=5)
+
+    def refuse(blocks):
+        raise AssertionError("scoring built a projector stack")
+
+    monkeypatch.setattr(quantum, "block_projectors", refuse)
+    monkeypatch.setattr(adversary, "block_projectors", refuse)
     cheat_probability_exact(cfg32, strat)
     cheat_probability_gamma(cfg32, strat, 0.5)
-    assert not any("projectors" in vars(pm) for pm in strat.measurements.values())
 
 
 @pytest.mark.parametrize("m,n", GRID)
@@ -176,7 +185,7 @@ def test_omega_weight_guard_survives_optimize():
     # A composition that ignores the probe makes the two counts differ.
     res = run_optimized(
         """
-        from scotsim import adversary
+        from scotsim import adversary, quantum
         assert False  # stripped under -O
         adversary.compose_shuffles = lambda s, v: tuple((0, 1) for _ in v)
         adversary.omega_weight(((1, 0),), 0, 1, ((0, 1),))

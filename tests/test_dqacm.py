@@ -13,7 +13,22 @@ from scotsim.dqacm import (
     sample_inputs,
     stage1_honest,
 )
-from scotsim.quantum import BasisFamily, bb84_family, equal_spaced_family
+from scotsim.quantum import (
+    BasisFamily,
+    ProjectiveMeasurement,
+    PureState,
+    bb84_family,
+    equal_spaced_family,
+    full_distribution,
+    planar_basis_family,
+)
+
+SLOT_FAMILIES = {
+    "bb84": bb84_family,
+    "equal-spaced(3)": lambda: equal_spaced_family(3),
+    "planar(pi/3)": lambda: planar_basis_family(2, (math.pi / 3,)),
+    "planar(0.4,2.0)": lambda: planar_basis_family(3, (0.4, 2.0)),
+}
 
 
 class TestConfig:
@@ -38,12 +53,47 @@ class TestConfig:
         # cross-basis BB84 slots are unbiased
         assert np.allclose(cdf[0, 1, 0], [0.5, 1.0])
 
+    @pytest.mark.parametrize("name", SLOT_FAMILIES)
+    def test_slot_cdf_matches_the_born_rule(self, name):
+        family = SLOT_FAMILIES[name]()
+        cdf = DqacmConfig(m=family.m, n=1, family=family).slot_cdf()
+        assert cdf.flags.c_contiguous and cdf.dtype == np.float64
+        assert (cdf[..., -1] == 1.0).all()
+        for c in range(family.m):
+            meas = ProjectiveMeasurement([v[:, None] for v in family.bases[c]])
+            for i, r in itertools.product(range(family.m), range(family.l)):
+                born = full_distribution(PureState(family.bases[i, r], (family.l,)), meas)
+                assert np.abs(cdf[c, i, r] - np.cumsum(born)).max() < 1e-15
+
     def test_slot_table_is_not_an_argument(self, bb84):
         table = np.ones((2, 2, 2, 2))
         with pytest.raises(TypeError):
             DqacmConfig(2, 4, bb84, 0.0, table)
         with pytest.raises(TypeError):
             DqacmConfig(m=2, n=4, family=bb84, _slot_cdf=table)
+
+
+class _TopDraw:
+    """A generator stub whose every uniform draw is the largest double below 1."""
+
+    def random(self, shape):
+        return np.full(shape, np.nextafter(1.0, 0.0))
+
+
+class TestSampleSlots:
+    @pytest.mark.parametrize("name", SLOT_FAMILIES)
+    def test_top_draw_stays_below_l(self, name):
+        # A table ending a rounding step below 1.0 would turn this draw
+        # into outcome l.
+        family = SLOT_FAMILIES[name]()
+        m, l = family.m, family.l
+        cfg = DqacmConfig(m=m, n=1, family=family)
+        grid = np.array(list(itertools.product(range(m), range(m), range(l))))
+        c, occupant, bits = grid.T
+        d = dqacm.sample_slots(cfg, c, occupant, bits, _TopDraw())
+        assert ((0 <= d) & (d < l)).all()
+        cross = occupant != c
+        assert (d[cross] == l - 1).all()
 
 
 class TestPermutations:

@@ -9,8 +9,8 @@ from scotsim.quantum import (
     BasisFamily,
     ProjectiveMeasurement,
     PureState,
-    basis_measurement,
     bb84_family,
+    block_projectors,
     equal_spaced_family,
     full_distribution,
     measure,
@@ -21,6 +21,11 @@ from scotsim.quantum import (
 )
 
 RT2 = 1.0 / math.sqrt(2.0)
+
+
+def _basis_measurement(family, i, subsystems=None):
+    """Rank-1 measurement in basis ``i`` of the family."""
+    return ProjectiveMeasurement([v[:, None] for v in family.bases[i]], subsystems)
 
 
 class TestFamilies:
@@ -157,8 +162,9 @@ class TestMeasurements:
             ProjectiveMeasurement([v0, v1[1:]])
         meas = ProjectiveMeasurement([v0, np.zeros((d, 0)), v1])  # a rank-0 outcome
         assert meas.ranks == (d // 2, 0, d - d // 2)
-        assert not meas.projectors[1].any()
-        assert np.abs(meas.projectors.sum(axis=0) - np.eye(d)).max() < 1e-12
+        projectors = block_projectors(meas.columns)
+        assert not projectors[1].any()
+        assert np.abs(projectors.sum(axis=0) - np.eye(d)).max() < 1e-12
 
     def test_block_check_survives_optimize(self):
         res = run_optimized(
@@ -179,19 +185,20 @@ class TestMeasurements:
         assert meas.n_outcomes == 2
         assert meas.dim == 2
         assert meas.ranks == (1, 1)
-        assert np.array_equal(meas.projectors, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-        assert not meas.projectors.flags.writeable
+        assert np.array_equal(block_projectors(meas.columns), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        assert not meas.columns.flags.writeable
+        assert not hasattr(meas, "projectors")
 
     def test_full_distribution_plus_state(self, bb84):
         plus = PureState(np.array([RT2, RT2]), (2,))
-        probs = full_distribution(plus, basis_measurement(bb84, 0))
+        probs = full_distribution(plus, _basis_measurement(bb84, 0))
         assert np.allclose(probs, [0.5, 0.5])
-        probs = full_distribution(plus, basis_measurement(bb84, 1))
+        probs = full_distribution(plus, _basis_measurement(bb84, 1))
         assert np.allclose(probs, [1.0, 0.0], atol=1e-12)
 
     def test_measure_is_deterministic_per_seed(self, bb84):
         plus = PureState(np.array([RT2, RT2]), (2,))
-        meas = basis_measurement(bb84, 0)
+        meas = _basis_measurement(bb84, 0)
         first = [measure(plus, meas, np.random.default_rng(s)).outcome for s in range(20)]
         second = [measure(plus, meas, np.random.default_rng(s)).outcome for s in range(20)]
         assert first == second
@@ -199,7 +206,7 @@ class TestMeasurements:
 
     def test_collapse_is_idempotent(self, bb84, rng):
         plus = PureState(np.array([RT2, RT2]), (2,))
-        meas = basis_measurement(bb84, 0)
+        meas = _basis_measurement(bb84, 0)
         res = measure(plus, meas, rng)
         again = measure(res.post_state, meas, rng)
         assert again.outcome == res.outcome
@@ -209,7 +216,7 @@ class TestMeasurements:
         r = np.array([[1], [0]])
         state = prepare_product_state(bb84, r, ((0, 1),))
         # slot 0 carries basis-0 bit 1: measuring it computationally is certain
-        meas = basis_measurement(bb84, 0, subsystems=(0,))
+        meas = _basis_measurement(bb84, 0, subsystems=(0,))
         probs = full_distribution(state, meas)
         assert np.allclose(probs, [0.0, 1.0], atol=1e-12)
         res = measure(state, meas, np.random.default_rng(0))
@@ -220,7 +227,7 @@ class TestMeasurements:
         theta = math.pi / 3
         fam = planar_basis_family(2, (theta,))
         state = PureState(fam.bases[1, 0].copy(), (2,))
-        meas = basis_measurement(bb84, 0)
+        meas = _basis_measurement(bb84, 0)
         rng = np.random.default_rng(5)
         hits = sum(measure(state, meas, rng).outcome == 0 for _ in range(4000))
         assert hits / 4000 == pytest.approx(math.cos(theta / 2) ** 2, abs=0.03)
