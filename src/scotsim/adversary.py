@@ -12,9 +12,10 @@ sizes at m in {2, 3}, n at most 3, and 2**12 total dimensions.
 
 The see-saw optimizer alternates closed-form coordinate updates:
 pairwise projector exchanges driven by per-outcome score operators for
-each half, then a polar-decomposition update of the unitary.  Each
-step is individually non-decreasing, and guards revert any numerically
-regressive update, so the reported trace is monotone.
+each half, then a polar step on the isometry M = U (I x chi), which is
+all of U the kernel reads (:attr:`Strategy.isometry`).  Each update is
+non-decreasing, and one guard reverts any numerically regressive one,
+so the reported trace is monotone.
 
 Every measurement is built from orthonormal column blocks, one (d, rank)
 block V_e per outcome with P_e = V_e V_e^dagger (see
@@ -24,17 +25,17 @@ products of basis columns and identities.  The contraction kernel reads
 the blocks as zero-padded column stacks and never builds a d x d
 projector nor a dense encoding: it encodes each shuffle tuple round by
 round and undoes it the same way for the gradient, and the lemma check
-(:func:`verify_sandwich_norm`) reads the same round factors.  The see-saw
-keeps the blocks as its state, and the kernel hands it score factors
-X_e rather than d x d score operators (S_e is proportional to
-X_e X_e^dagger).  An exchange of outcomes a and b therefore needs no
+(:func:`verify_sandwich_norm`) reads the same round factors.  The
+see-saw keeps the blocks and M as its state, and the kernel hands it
+score factors X_e rather than d x d score operators (S_e is proportional
+to X_e X_e^dagger).  An exchange of outcomes a and b therefore needs no
 d x d eigendecomposition: their joint range is spanned by [V_a V_b] as
 it stands, and only the compressed score difference on it is
 diagonalised.  Its eigenvalues above a relative tolerance
 (``_SPLIT_TOL`` times the largest magnitude) go to a and the rest to b,
 so rounding noise never decides on which side a zero eigenvalue falls,
-and results do not depend on the BLAS thread count.  Only the blocks
-are backed up for a revert, and the final blocks become the result's
+and results do not depend on the BLAS thread count.  A revert restores
+one branch's blocks or M, and the final blocks become the result's
 measurements.
 """
 
@@ -94,6 +95,13 @@ def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
+
+
+def _capped(total: int, what: str) -> int:
+    """``total``, refused above ``MAX_TOTAL_DIM`` before any work is done."""
+    if total > MAX_TOTAL_DIM:
+        raise CapacityError(f"{what} dimension {total} exceeds {MAX_TOTAL_DIM}")
+    return total
 
 
 def _haar_column_blocks(
@@ -259,9 +267,7 @@ class _SplitSystem:
         if abs(np.linalg.norm(chi) - 1.0) > 1e-10:
             raise ValueError("ancilla state must be normalized")
         u = np.asarray(unitary, dtype=np.complex128)
-        total = local_dim**qudit_count * math.prod(ancilla_dims)
-        if total > MAX_TOTAL_DIM:
-            raise CapacityError(f"strategy dimension {total} exceeds {MAX_TOTAL_DIM}")
+        total = _capped(local_dim**qudit_count * math.prod(ancilla_dims), "strategy")
         if u.shape != (total, total):
             raise ValueError(f"unitary shape {u.shape} does not match dimension {total}")
         if not np.allclose(
@@ -301,6 +307,12 @@ class _SplitSystem:
     @property
     def total_dim(self) -> int:
         return math.prod(self.factors)
+
+    @property
+    def isometry(self) -> np.ndarray:
+        """M = U (I x chi), (total, d_a): all of U that the prepared ancilla reaches."""
+        chi = self.ancilla_state
+        return self.unitary.reshape(self.total_dim, -1, chi.size) @ chi
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,24 +377,22 @@ def _check_compat(game: _Game, strategy: Strategy) -> None:
                 raise ValueError("measurement outcome count must be l**n")
 
 
-def _contract(
-    game: _Game, unitary, chi, factors, split, c0, c1, ball=None, scores=None, grad=False
-):
+def _contract(game: _Game, iso, factors, split, c0, c1, ball=None, scores=None, grad=False):
     """The cheating-game contraction, one shuffle tuple at a time.
 
-    ``unitary``, ``chi``, ``factors`` and ``split`` are a strategy's
-    arrays and layout (see :class:`Strategy`).  ``c0[si]`` and ``c1[si]``
-    are the two branches' (E, d, w) column stacks for shuffle tuple
-    ``si``, E = l**n (see ``ProjectiveMeasurement.columns``); ``ball``
-    (see ``_Game.ball``) replaces each V_e by the columns of its ball.
-    The state ``W = U (I x chi) B_s`` is encoded round by round, the
-    first n-1 rounds once for the m! adjacent tuples sharing them, and
-    one transpose of factors and column bits (``game.slots``) gives it
-    the shape (e_f, d_f, e_o, d_o, K): block (e0, e1) holds the K bit
-    matrices decoding to (e0, e1).  The first branch f's stacked
-    ``V_f^dagger`` compresses W, the other branch's compresses that, and
-    the shuffle adds ``||(V0[e0]^dagger x V1[e1]^dagger) W[e0, e1]||**2``;
-    padded columns add zeros.
+    ``iso`` is a strategy's (total, d_a) isometry M, ``factors`` and
+    ``split`` its layout (see :class:`Strategy`).  ``c0[si]`` and
+    ``c1[si]`` are the two branches' (E, d, w) column stacks for shuffle
+    tuple ``si``, E = l**n (see ``ProjectiveMeasurement.columns``);
+    ``ball`` (see ``_Game.ball``) replaces each V_e by the columns of its
+    ball.  The state ``W = M B_s`` is encoded round by round, the first
+    n-1 rounds once for the m! adjacent tuples sharing them, and one
+    transpose of factors and column bits (``game.slots``) gives it the
+    shape (e_f, d_f, e_o, d_o, K): block (e0, e1) holds the K bit matrices
+    decoding to (e0, e1).  The first branch f's stacked ``V_f^dagger``
+    compresses W, the other branch's compresses that, and the shuffle adds
+    ``||(V0[e0]^dagger x V1[e1]^dagger) W[e0, e1]||**2``; padded columns
+    add zeros.
 
     Returns ``(value, score_factors, grad)``.  ``value`` averages over
     shuffles and bit matrices.  ``scores=b`` (exact game only, no
@@ -394,13 +404,13 @@ def _contract(
     see-saw's exchange (:func:`_exchange_update`) reads the factors as
     they are; for branch 0 at the canonical m=3, n=2 split they are
     (4, 64, 8), against (4, 64, 64) for the score operators.
-    ``grad=True`` (``scores`` None) gives the linear gradient G with
-    ``Re tr(U^dagger G) = value``, expanding the compressed state back
+    ``grad=True`` (``scores`` None) gives the (total, d_a) linear gradient
+    h, ``Re tr(M^dagger h) = value``, expanding the compressed state back
     and undoing ``B_s`` round by round: the last round per shuffle, the
     shared rounds once per group; both are None when not asked for.
     """
     n_out, d_a, n = game.n_out, game.dim_a, game.n
-    total = unitary.shape[0]
+    total = iso.shape[0]
     norm = 1.0 / (d_a * len(game.s_tuples))
     nf = len(factors)
     size = game.l**game.m
@@ -409,13 +419,12 @@ def _contract(
     # Branch `first` acts first; the other branch's columns then act on
     # V_first^dagger W, which is also what that branch's score factors are.
     first, other = (1, 0) if scores == 0 else (0, 1)
-    m_op = unitary.reshape(total, d_a, -1) @ chi
     value = 0.0
     score_factors = [] if scores is not None else None
     h = np.zeros((total, d_a), dtype=np.complex128) if grad else None
     groups = itertools.groupby(enumerate(game.s_tuples), key=lambda item: item[1][:-1])
     for prefix, group in groups:
-        shared = m_op
+        shared = iso
         for j, pi in enumerate(prefix):
             shared = game.rounds[pi].T @ shared.reshape(-1, size, size ** (n - 1 - j))
         acc = 0.0
@@ -449,14 +458,12 @@ def _contract(
             for j, pi in enumerate(prefix):
                 acc = game.rounds[pi].conj() @ acc.reshape(-1, size, size ** (n - 1 - j))
             h += acc.reshape(total, d_a)
-    g = None if h is None else norm * (h[:, :, None] * chi.conj()).reshape(total, total)
-    return float(value) * norm, score_factors, g
+    return float(value) * norm, score_factors, None if h is None else norm * h
 
 
 def _evaluate(game: _Game, strategy: Strategy, ball: np.ndarray | None) -> float:
     cols = ([strategy.measurements[(b, s)].columns for s in game.s_tuples] for b in (0, 1))
-    args = (strategy.unitary, strategy.ancilla_state, strategy.factors, strategy.split)
-    return _contract(game, *args, *cols, ball)[0]
+    return _contract(game, strategy.isometry, strategy.factors, strategy.split, *cols, ball)[0]
 
 
 def cheat_probability_exact(config: DqacmConfig, strategy: Strategy) -> float:
@@ -542,69 +549,64 @@ def seesaw_optimize(
 ) -> SeesawResult:
     """Alternating maximization of the exact cheating probability.
 
-    One restart from a Haar-random unitary and random measurements.
-    Branch measurements are updated one branch at a time with scores
-    recomputed in between, then the unitary moves to the polar factor
-    of its linear gradient; any update that fails to improve the
-    evaluated objective is reverted.  Stops early once the gain per
-    iteration falls below ``tol``; ``converged`` reports whether that
-    happened within the iteration budget.
+    One restart from a Haar-random unitary and random measurements, with
+    the ancilla in e_0.  Each iteration updates branch 0's measurements,
+    then branch 1's, against fresh scores, then moves M = U (I x e_0) to
+    the polar factor of its gradient (a thin SVD); one guard reverts any
+    update that lowers the objective.  M is completed to the result's
+    unitary at the end.  Stops early once the gain per iteration falls
+    below ``tol``; ``converged`` reports whether that happened within the
+    iteration budget.
     """
     rng = _as_rng(seed)
     game = _game_for(config, targets)
     mn = config.m * config.n
     d_a = game.dim_a
-    total = d_a * ancilla_dim
-    if total > MAX_TOTAL_DIM:
-        raise CapacityError(f"seesaw dimension {total} exceeds {MAX_TOTAL_DIM}")
+    total = _capped(d_a * ancilla_dim, "seesaw")
 
     factors = (2,) * mn + (ancilla_dim,)
     split = (tuple(range(mn)), (mn,))
-    d0, d1 = d_a, ancilla_dim
-    chi = np.zeros(ancilla_dim, dtype=np.complex128)
-    chi[0] = 1.0
-    unitary = _haar_unitary(total, rng)
-    # The measurement state: blocks[branch][si] lists each outcome's
-    # orthonormal columns.  cols holds the padded column stacks the kernel
-    # reads, always rebuilt from the blocks; only blocks are backed up.
-    blocks = [[], []]
-    for _ in game.s_tuples:
-        for branch, dim in ((0, d0), (1, d1)):
-            blocks[branch].append(_haar_column_blocks(dim, game.n_out, rng))
-    cols = [[block_columns(v) for v in per_shuffle] for per_shuffle in blocks]
+    chi = np.eye(ancilla_dim, dtype=np.complex128)[0]
 
-    def set_blocks(branch, new):
-        blocks[branch] = new
-        cols[branch] = [block_columns(v) for v in new]
+    # state[b][si]: branch b's column block per outcome; state[2]: M.  stacks[b]
+    # holds the padded columns the kernel reads, rebuilt with state[b].
+    state = [[], [], _haar_unitary(total, rng)[:, ::ancilla_dim].copy()]
+    for _ in game.s_tuples:
+        for b, d in enumerate((d_a, ancilla_dim)):
+            state[b].append(_haar_column_blocks(d, game.n_out, rng))
+    stacks = [[block_columns(v) for v in blocks] for blocks in state[:2]]
+
+    def assign(kind, value):
+        state[kind] = value
+        if kind < 2:
+            stacks[kind] = [block_columns(v) for v in value]
 
     def contract(**want):
-        return _contract(game, unitary, chi, factors, split, *cols, **want)
+        return _contract(game, state[2], factors, split, *stacks, **want)
+
+    def propose(kind, out):
+        if kind == 2:
+            uu, _sv, vh = np.linalg.svd(out[2], full_matrices=False)
+            return uu @ vh
+        return [_exchange_update(v, x) for v, x in zip(state[kind], out[1])]
 
     # Each pass that checks an update also yields what the next update
     # needs: branch-1 score factors, then the gradient, then branch-0's.
-    p, x, _ = contract(scores=0)
+    wants = ({"scores": 1}, {"grad": True}, {"scores": 0})
+    out = contract(scores=0)
+    p = out[0]
     trace = [p]
     converged = False
     for _ in range(iterations):
-        for branch, want in ((0, {"scores": 1}), (1, {"grad": True})):
-            backup = blocks[branch]
-            set_blocks(branch, [_exchange_update(v, xs) for v, xs in zip(backup, x)])
-            p_new, x, grad = contract(**want)
-            if p_new < p - 1e-12:
-                set_blocks(branch, backup)
-                _, x, grad = contract(**want)
+        for kind, want in enumerate(wants):
+            backup = state[kind]
+            assign(kind, propose(kind, out))
+            out = contract(**want)
+            if out[0] < p - 1e-12:
+                assign(kind, backup)
+                out = contract(**want)
             else:
-                p = p_new
-
-        u_backup = unitary
-        uu, _sv, vh = np.linalg.svd(grad)
-        unitary = uu @ vh
-        p_new, x, _ = contract(scores=0)
-        if p_new < p - 1e-12:
-            unitary = u_backup
-            x = contract(scores=0)[1]
-        else:
-            p = p_new
+                p = out[0]
 
         if not p >= trace[-1] - 1e-10:
             raise RuntimeError(f"seesaw trace must be monotone, got {p!r} after {trace[-1]!r}")
@@ -613,10 +615,13 @@ def seesaw_optimize(
             converged = True
             break
 
+    # Column a * ancilla_dim of the unitary is M's column a; the others are
+    # an orthonormal basis of the complement of M's range.
+    rest = np.linalg.qr(state[2], mode="complete")[0][:, d_a:].reshape(total, d_a, -1)
+    unitary = np.concatenate((state[2][:, :, None], rest), axis=2).reshape(total, total)
     measurements = {}
-    for si, s in enumerate(game.s_tuples):
-        measurements[(0, s)] = ProjectiveMeasurement(blocks[0][si])
-        measurements[(1, s)] = ProjectiveMeasurement(blocks[1][si])
+    for (si, s), b in itertools.product(enumerate(game.s_tuples), (0, 1)):
+        measurements[(b, s)] = ProjectiveMeasurement(state[b][si])
     strategy = Strategy(
         targets=targets,
         ancilla_dims=(ancilla_dim,),
@@ -644,9 +649,7 @@ def random_strategy(
     rng = _as_rng(rng)
     game = _game_for(config, targets)
     mn = config.m * config.n
-    total = game.dim_a * ancilla_dim
-    if total > MAX_TOTAL_DIM:
-        raise CapacityError(f"strategy dimension {total} exceeds {MAX_TOTAL_DIM}")
+    total = _capped(game.dim_a * ancilla_dim, "strategy")
     factors = (2,) * mn + (ancilla_dim,)
     if rng.random() < 0.5:
         split0 = tuple(range(mn))
@@ -738,9 +741,7 @@ def intercept_strategy(config: DqacmConfig, targets: tuple[int, int]) -> Strateg
     game = _game_for(config, targets)
     l0, l1 = targets
     l, mn = config.l, config.m * config.n
-    total = l ** (2 * mn)
-    if total > MAX_TOTAL_DIM:
-        raise CapacityError(f"intercept dimension {total} exceeds {MAX_TOTAL_DIM}")
+    total = _capped(l ** (2 * mn), "intercept")
 
     # One copying unitary per slot: rotate to the target basis, CNOT
     # into the matching ancilla qubit, rotate back.
@@ -893,9 +894,7 @@ def random_branching_strategy(
     rng = _as_rng(rng)
     game = _game_for(config, targets)
     mn = config.m * config.n
-    total = game.dim_a * ancilla_dim
-    if total > MAX_TOTAL_DIM:
-        raise CapacityError(f"strategy dimension {total} exceeds {MAX_TOTAL_DIM}")
+    total = _capped(game.dim_a * ancilla_dim, "strategy")
     n_gamma = config.m**2 * (config.m - 1)
     chi = rng.standard_normal(ancilla_dim) + 1j * rng.standard_normal(ancilla_dim)
     chi /= np.linalg.norm(chi)
@@ -982,7 +981,7 @@ def verify_procedure_equivalence(
     for _ in range(n_inputs):
         inputs = sample_inputs(config, rng)
         base = prepare_product_state(config.family, inputs.r, inputs.s).amplitudes
-        y = strategy.unitary @ np.kron(base, strategy.ancilla_state)
+        y = strategy.isometry @ base
         yp = _permute_rows(y.reshape(-1, 1), strategy.factors, perm)
         blocks = (branching @ (branching.conj().swapaxes(1, 2) @ yp)).reshape(n_gamma, d0, d1)
 

@@ -135,17 +135,29 @@ def sample_inputs(config: DqacmConfig, rng) -> AliceInputs:
     return AliceInputs(r, s.tolist())
 
 
-def _validate_run(config: DqacmConfig, inputs: AliceInputs, c: int) -> None:
+def _occupants(config: DqacmConfig, inputs: AliceInputs, c: int) -> np.ndarray:
+    """Check one run's inputs; return the basis index at each (position, round).
+
+    Shuffles and bits are checked in one pass over the (n, m) shuffle
+    array: ``bad`` is zero exactly where row j sorts to range(m) and the
+    round's bits lie in range(l) (``r // l`` is 0 only there).
+    """
     m, n = config.m, config.n
     if inputs.r.shape != (m, n):
         raise ValueError(f"r shape {inputs.r.shape} does not match ({m}, {n})")
-    if len(inputs.s) != n:
-        raise ValueError(f"need {n} shuffles, got {len(inputs.s)}")
-    for j, perm in enumerate(inputs.s):
-        if sorted(perm) != list(range(m)):
-            raise ValueError(f"s[{j}]={perm} is not a permutation of range({m})")
     if not 0 <= c < m:
         raise ValueError(f"c={c} outside range({m})")
+    shuffles = np.array(inputs.s)
+    if shuffles.shape != (n, m):
+        raise ValueError(f"need {n} shuffles of range({m}), got {inputs.s}")
+    bad = (np.sort(shuffles, axis=1) - np.arange(m)) | (inputs.r.T // config.l)
+    if np.count_nonzero(bad):
+        j = int(np.nonzero(bad)[0][0])
+        raise ValueError(
+            f"round {j}: s[{j}]={inputs.s[j]} must permute range({m}) "
+            f"and r[:, {j}]={inputs.r[:, j].tolist()} lie in range({config.l})"
+        )
+    return np.argsort(shuffles, axis=1).T
 
 
 def sample_slots(
@@ -190,14 +202,12 @@ def stage1_honest(
     flips each recorded bit independently, modelling a noisy recorder;
     the exact-decode guarantee holds only at the default 0.
     """
-    _validate_run(config, inputs, c)
+    occupant = _occupants(config, inputs, c)
     if not 0.0 <= flip_rate < 1.0:
         raise ValueError(f"flip_rate={flip_rate} outside [0, 1)")
     if flip_rate > 0.0 and config.l != 2:
         raise ValueError("bit flips are only defined for two-outcome slots")
     rng = _as_rng(rng)
-    # occupant[p, j] = basis index of the carrier at position p of round j
-    occupant = np.argsort(np.array(inputs.s), axis=1).T
     bits = inputs.r[occupant, np.arange(config.n)]
     return BobRecord(c, sample_slots(config, c, occupant, bits, rng, flip_rate))
 

@@ -291,10 +291,24 @@ class TestSeesaw:
         again = cheat_probability_exact(cfg21, res.strategy)
         assert again == pytest.approx(res.p_exact, abs=1e-12)
 
-    def test_result_strategy_is_consistent_m3n2(self, cfg32):
-        res = seesaw_optimize(cfg32, (0, 1), iterations=2, seed=0, tol=-1)
+    @pytest.mark.parametrize("ancilla_dim", [1, 2, 8])
+    def test_result_strategy_is_consistent_m3n2(self, cfg32, ancilla_dim, monkeypatch):
+        # The see-saw keeps the isometry M and completes it to the result's
+        # unitary once (an empty completion at ancilla 1).  The last kernel
+        # pass reads the final M.
+        kernel, seen = adversary._contract, []
+
+        def recording(game, iso, *args, **kwargs):
+            seen.append(iso)
+            return kernel(game, iso, *args, **kwargs)
+
+        monkeypatch.setattr(adversary, "_contract", recording)
+        res = seesaw_optimize(cfg32, (0, 1), ancilla_dim, iterations=2, seed=0, tol=-1)
+        final = seen[-1]
         again = cheat_probability_exact(cfg32, res.strategy)
         assert again == pytest.approx(res.p_exact, abs=1e-12)
+        assert final.shape == (64 * ancilla_dim, 64)
+        assert np.abs(res.strategy.unitary[:, ::ancilla_dim] - final).max() < 1e-12
 
     def test_deterministic_per_seed(self, cfg21):
         a = seesaw_optimize(cfg21, (0, 1), iterations=25, seed=5)
@@ -308,6 +322,35 @@ class TestSeesaw:
         assert res.trace == tuple(sorted(res.trace))
         lam = quantum.overlap_lambda(equal3)
         assert res.p_exact <= bounds.epsilon_bob(3, lam, 1) + 1e-9
+
+
+class TestLowerGates:
+    """The see-saw must reach known optima, so "attack <= bound" can fail.
+
+    A see-saw that skips its polar step stays well below every gate.
+    """
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_bb84_meets_the_bound(self, bb84, n):
+        # Product strategies are optimal for BB84 (Tomamichel, Fehr,
+        # Kaniewski and Wehner, NJP 15, 103002 (2013)), and the bound is
+        # ((1 + sqrt(1/2)) / 2)**n; ancilla 4 reaches it at n <= 2.
+        cfg = DqacmConfig(m=2, n=n, family=bb84)
+        runs = (
+            seesaw_optimize(cfg, (0, 1), ancilla_dim=4, iterations=40, seed=seed, tol=1e-12)
+            for seed in range(4)
+        )
+        best = max(res.p_exact for res in runs)
+        assert abs(best - bounds.epsilon_bob(2, 0.5, n)) < 1e-9
+
+    def test_m3_equal_spaced_reaches_cos4(self, equal3):
+        # Not a figure of the paper: a numerical finding that at n = 1 with
+        # the ancilla a full copy of the register (8 dims) the see-saw
+        # reaches ((1 + sqrt(3/4)) / 2)**2 = cos(pi/12)**4, below the
+        # paper's bound of 0.955.
+        cfg = DqacmConfig(m=3, n=1, family=equal3)
+        res = seesaw_optimize(cfg, (0, 1), ancilla_dim=8, iterations=200, seed=0, tol=1e-13)
+        assert res.p_exact >= math.cos(math.pi / 12) ** 4 - 1e-9
 
 
 class TestSandwichNormLemma:
@@ -441,11 +484,11 @@ class TestSandwichNormEquality:
 class TestGradient:
     @pytest.mark.parametrize("m,n", [(2, 1), (2, 2), (3, 1), (3, 2)])
     def test_directional_difference(self, m, n):
-        # The value is exactly quadratic in U, so for any direction D the
-        # central difference p(U + tD) - p(U - tD) is 4t Re tr(D^dagger G):
-        # this tests all of G, not only its component along U.  The
-        # computational, circular and diagonal bases make the encoding
-        # complex, so a conjugation missed in undoing it shows.
+        # The value is exactly quadratic in the isometry M, so for any
+        # direction D the central difference p(M + tD) - p(M - tD) is
+        # 4t Re tr(D^dagger h): this tests all of h, not only its component
+        # along M.  The computational, circular and diagonal bases make the
+        # encoding complex, so a conjugation missed in undoing it shows.
         h = 1 / math.sqrt(2)
         mub = [np.eye(2), [[h, 1j * h], [h, -1j * h]], [[h, h], [h, -h]]]
         cfg = DqacmConfig(m=m, n=n, family=BasisFamily(mub[:m]))
@@ -458,14 +501,14 @@ class TestGradient:
         assert len(strategies) == 2
         for seed, strat in strategies.values():
             cols = [[strat.measurements[(b, s)].columns for s in game.s_tuples] for b in (0, 1)]
-            layout = (strat.ancilla_state, strat.factors, strat.split, *cols)
-            grad = adversary._contract(game, strat.unitary, *layout, grad=True)[2]
+            layout = (strat.factors, strat.split, *cols)
+            grad = adversary._contract(game, strat.isometry, *layout, grad=True)[2]
             rng = np.random.default_rng(seed)
             delta = rng.standard_normal(grad.shape) + 1j * rng.standard_normal(grad.shape)
             delta /= np.linalg.norm(delta)
             t = 0.1
             plus, minus = (
-                adversary._contract(game, strat.unitary + sign * t * delta, *layout)[0]
+                adversary._contract(game, strat.isometry + sign * t * delta, *layout)[0]
                 for sign in (1, -1)
             )
             want = 4 * t * np.vdot(delta, grad).real

@@ -241,16 +241,16 @@ class TestAttack:
         "args, digest",
         [
             ("--m 3 --n 2 --restarts 1 --iterations 2 --seed 0",
-             "2099405b0be578cc1e89eab814edc464ec86fab0739a4adb3ae86dbe837c1c3b"),
+             "4e918761815de0ab921b8226739c065c79a3d0f105b2c059e751a6a74bb25198"),
             ("--m 2 --n 1 --restarts 2 --seed 0",
-             "3b50c45b46d39eb8f1a368bf90808310524113798f02c258d127d332533228da"),
+             "93a170fe6052f1c43bbaf0a179a0383efdb261c722e1e33b28ca4c0146c61ff3"),
         ],
         ids=["m3n2", "m2n1"],
     )
     def test_stdout_matches_recorded_digest(self, args, digest):
-        # sha256 of the canonical stdout, recorded once the kernel read
-        # column stacks: it pins the see-saw traces and the final
-        # strategy_hash byte for byte.
+        # sha256 of the canonical stdout, recorded once the see-saw kept
+        # the isometry and completed it to a unitary at the end: it pins
+        # the see-saw traces and the final strategy_hash byte for byte.
         stdout = self._attack_stdout(args)
         assert hashlib.sha256(stdout.encode()).hexdigest() == digest
 

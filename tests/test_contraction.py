@@ -1,10 +1,11 @@
 """The cheating-game contraction kernel against a plainly correct reference.
 
 ``_contract`` evaluates every strategy, scores the see-saw's measurement
-updates and gives its unitary gradient.  Here it is pinned against the
-Born-rule evaluator in ``helpers``, its score factors and gradient are
-checked to reproduce the value, its memory is held under a stated peak,
-and the invariants of ``adversary`` are shown to hold under ``python -O``.
+updates and gives the gradient in the strategy's isometry.  Here it is
+pinned against the Born-rule evaluator in ``helpers``, its score factors
+and gradient are checked to reproduce the value, its memory is held under
+a stated peak, and the invariants of ``adversary`` are shown to hold
+under ``python -O``.
 """
 
 import tracemalloc
@@ -50,7 +51,7 @@ def _run_kernel(cfg, strat, **want):
     game = adversary._game_for(cfg, strat.targets)
     meas = [[strat.measurements[(b, s)] for s in game.s_tuples] for b in (0, 1)]
     cols = [[pm.columns for pm in per_branch] for per_branch in meas]
-    args = (game, strat.unitary, strat.ancilla_state, strat.factors, strat.split, *cols)
+    args = (game, strat.isometry, strat.factors, strat.split, *cols)
     p0, p1 = ([block_projectors(pm.columns) for pm in per_branch] for per_branch in meas)
     return adversary._contract(*args, **want), p0, p1
 
@@ -141,8 +142,8 @@ def test_scores_and_gradient_reproduce_the_value(m, n):
             assert v == pytest.approx(value, abs=PIN)
             assert traced == pytest.approx(value, abs=PIN)
         (v, _, grad), _, _ = _run_kernel(cfg, strat, grad=True)
-        assert grad.shape == strat.unitary.shape
-        assert np.trace(strat.unitary.conj().T @ grad).real == pytest.approx(value, abs=PIN)
+        assert grad.shape == (strat.total_dim, game.dim_a)
+        assert np.trace(strat.isometry.conj().T @ grad).real == pytest.approx(value, abs=PIN)
 
 
 def test_local_dimension_mismatch_rejected(cfg21):

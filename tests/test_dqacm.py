@@ -215,6 +215,14 @@ class TestStage1:
         with pytest.raises(ValueError):
             stage1_honest(cfg21, bad_s, 0, rng)
 
+    @pytest.mark.parametrize("bit", [-1, 2])
+    def test_bits_outside_range_rejected(self, bb84, rng, bit):
+        # -1 used to be recorded and decoded, 2 to raise IndexError.
+        cfg = DqacmConfig(m=2, n=1, family=bb84)
+        inputs = AliceInputs([[bit], [0]], ((0, 1),))
+        with pytest.raises(ValueError, match=r"r\[:, 0\]=\[%d, 0\] lie in range\(2\)" % bit):
+            stage1_honest(cfg, inputs, 0, rng)
+
 
 class TestDecode:
     def test_reads_committed_positions(self, cfg32):
