@@ -968,8 +968,12 @@ def verify_procedure_equivalence(
     its half and its own register with the block-diagonal stack
     ``+_g V_g[e]`` (:func:`_register_columns`).  Neither builds a d x d
     projector.  For each of ``n_inputs`` random honest input states the
-    two outcome distributions must agree within total variation 1e-9.
+    two outcome distributions must agree within total variation 1e-9;
+    ``n_inputs`` below 1 raises ``ValueError``, since no comparison passes
+    vacuously.
     """
+    if n_inputs < 1:
+        raise ValueError(f"n_inputs must be at least 1, got {n_inputs}")
     rng = _as_rng(seed)
     n_gamma = strategy.intermediate.n_outcomes
     d0, d1 = strategy.d0, strategy.d1

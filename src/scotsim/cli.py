@@ -23,7 +23,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -181,7 +180,15 @@ def _attack_restart(params: tuple) -> dict:
     return out
 
 
+def _require_positive(args, *flags: str) -> None:
+    for flag in flags:
+        value = getattr(args, flag.lstrip("-").replace("-", "_"))
+        if value < 1:
+            raise ConfigError(f"{flag} must be at least 1, got {value}")
+
+
 def cmd_attack(args) -> int:
+    _require_positive(args, "--restarts", "--workers")
     m, n = args.m, args.n
     _family, thetas = _family_for(m, args.theta)
     lam = quantum.overlap_lambda(_family)
@@ -190,8 +197,13 @@ def cmd_attack(args) -> int:
         (m, n, thetas, targets, args.ancilla_dim, args.iterations, args.seed + k, args.gamma)
         for k in range(args.restarts)
     ]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    workers = min(args.workers, args.restarts)
+    if workers > 1:
+        # Imported here: concurrent.futures.process pulls in multiprocessing,
+        # which a serial attack and every other command do without.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             restarts = list(pool.map(_attack_restart, params))
     else:
         restarts = [_attack_restart(p) for p in params]
@@ -242,6 +254,7 @@ def _brute_weight_counts(m: int, n: int, l0: int, l1: int) -> dict[int, int]:
 
 
 def cmd_verify(args) -> int:
+    _require_positive(args, "--draws", "--equiv-strategies", "--probes")
     rng = np.random.default_rng(args.seed)
     family, thetas = _family_for(args.m, args.theta)
     checks: list[tuple[str, bool, str]] = []

@@ -547,6 +547,11 @@ class TestProcedureEquivalence:
         strat = random_branching_strategy(cfg21, (0, 1), rng=1)
         assert bool(verify_procedure_equivalence(cfg21, strat, n_inputs=2))
 
+    def test_zero_inputs_rejected(self, cfg21):
+        strat = random_branching_strategy(cfg21, (0, 1), rng=0)
+        with pytest.raises(ValueError, match="n_inputs"):
+            verify_procedure_equivalence(cfg21, strat, n_inputs=0)
+
     @pytest.mark.parametrize("m", [2, 3])
     def test_record_missing_from_branch_1_fails(self, m, monkeypatch):
         cfg = DqacmConfig(m=m, n=1, family=equal_spaced_family(m))

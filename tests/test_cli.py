@@ -217,6 +217,41 @@ class TestAttack:
         parallel = capsys.readouterr().out
         assert serial == parallel
 
+    @pytest.mark.parametrize("flag", ["--restarts", "--workers"])
+    def test_count_below_one_exits_2(self, flag, capsys):
+        rc = main(["attack", "--m", "2", "--n", "1", "--iterations", "1", flag, "0"])
+        assert rc == 2
+        assert f"{flag} must be at least 1" in capsys.readouterr().err
+
+    def test_pool_is_capped_at_restarts(self, capsys, monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        argv = ["attack", "--m", "2", "--n", "1", "--iterations", "2", "--seed", "1"]
+        assert main(argv + ["--restarts", "3"]) == 0
+        serial = capsys.readouterr().out
+        assert main(argv + ["--restarts", "3", "--workers", "64"]) == 0
+        assert capsys.readouterr().out == serial
+        # One restart runs serially, whatever --workers says.
+        assert main(argv + ["--restarts", "1", "--workers", "64"]) == 0
+        capsys.readouterr()
+        assert sizes == [3]
+
     def test_round_cap_exits_4(self, capsys):
         rc = main(["attack", "--m", "2", "--n", "4", "--restarts", "1"])
         assert rc == 4
@@ -294,6 +329,17 @@ class TestVerify:
         assert any("composed-shuffles-distinct" in ln for ln in lines)
         assert any("weight-counting-identity" in ln for ln in lines)
 
+    @pytest.mark.parametrize("flag", ["--draws", "--equiv-strategies", "--probes"])
+    def test_count_below_one_exits_2(self, flag, capsys):
+        argv = ["verify", "--m", "2", "--n", "1", "--draws", "1",
+                "--equiv-strategies", "1", "--probes", "1"]
+        argv[argv.index(flag) + 1] = "0"
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert f"{flag} must be at least 1" in err
+        assert "PASS" not in out
+
     def test_failed_check_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(bounds, "count_omega", lambda m, n, omega: -1)
         rc = main(
@@ -315,3 +361,18 @@ class TestVerify:
         assert rc == EXIT_FAILED == 1
         failed = [ln for ln in lines if ln.startswith("FAIL")]
         assert len(failed) == 1 and failed[0].startswith("FAIL  procedure-equivalence m=2 n=1")
+
+
+def test_cli_import_stays_light():
+    # The CLI serves every process the package starts; scipy and the
+    # process pool's multiprocessing cost it most of its start-up.
+    res = run_python(
+        """
+        import sys
+        import scotsim.cli
+        heavy = ("scipy", "concurrent.futures.process", "multiprocessing")
+        print(" ".join(m for m in heavy if m in sys.modules))
+        """
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == ""

@@ -337,6 +337,16 @@ class TestAudit:
         assert not res.ok
         assert res.chi2_rows[0]["pvalue"] < 0.001
 
+    @pytest.mark.parametrize("k", range(1, 12))
+    def test_chi2_tail_matches_incomplete_gamma(self, k):
+        import mpmath
+
+        for x in [0.0, 1e-12, 1e-3, *np.linspace(0.25, 300.0, 240)]:
+            with mpmath.workdps(40):
+                want = float(mpmath.gammainc(mpmath.mpf(k) / 2, mpmath.mpf(x) / 2, regularized=True))
+            got = protocol._chi2_sf(float(x), k)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), (k, x)
+
     def test_planted_return_message_is_counted(self, layout2, rng):
         cfg = scot_config("psr", 2, 4, layout2)
         t = run_psr(cfg, 0, rng)
