@@ -1,21 +1,23 @@
 """Adversarial strategies against the delegated-measurement game.
 
 A dishonest receiver who must answer in two separated regions is
-modelled by a split of their system into two halves, an ancilla, a
-joint pre-processing unitary, and per-shuffle projective measurements
-on each half.  The cheating probability averages, over all shuffle
-tuples s and bit matrices r, the chance that half 0 outputs the row
-named by target index l0 while half 1 simultaneously outputs the row
-named by l1.  Everything is evaluated by exact enumeration over the
-(m!)**n shuffle tuples and l**(m n) bit matrices, which caps problem
-sizes at m in {2, 3}, n at most 3, and 2**12 total dimensions.
+modelled by a pre-processing isometry M from the message register into
+the message and an ancilla, a split of that joint system into two
+halves, and per-shuffle projective measurements on each half.  M is
+U (I x chi) for a unitary U and an ancilla prepared in chi: all of the
+pre-processing that the game can see.  The cheating probability
+averages, over all shuffle tuples s and bit matrices r, the chance that
+half 0 outputs the row named by target index l0 while half 1
+simultaneously outputs the row named by l1.  Everything is evaluated by
+exact enumeration over the (m!)**n shuffle tuples and l**(m n) bit
+matrices, which caps problem sizes at m in {2, 3}, n at most 3, and
+2**12 total dimensions.
 
 The see-saw optimizer alternates closed-form coordinate updates:
 pairwise projector exchanges driven by per-outcome score operators for
-each half, then a polar step on the isometry M = U (I x chi), which is
-all of U the kernel reads (:attr:`Strategy.isometry`).  Each update is
-non-decreasing, and one guard reverts any numerically regressive one,
-so the reported trace is monotone.
+each half, then a polar step on M (:attr:`Strategy.isometry`).  Each
+update is non-decreasing, and one guard reverts any numerically
+regressive one, so the reported trace is monotone.
 
 Every measurement is built from orthonormal column blocks, one (d, rank)
 block V_e per outcome with P_e = V_e V_e^dagger (see
@@ -35,8 +37,8 @@ diagonalised.  Its eigenvalues above a relative tolerance
 (``_SPLIT_TOL`` times the largest magnitude) go to a and the rest to b,
 so rounding noise never decides on which side a zero eigenvalue falls,
 and results do not depend on the BLAS thread count.  A revert restores
-one branch's blocks or M, and the final blocks become the result's
-measurements.
+one branch's blocks or M, and the final blocks and M become the
+result's strategy as they stand.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ __all__ = [
 ]
 
 MAX_N = 3
-_UNITARY_TOL = 1e-9
+_ISOMETRY_TOL = 1e-9
 # Relative eigenvalue cut of the see-saw's exchange split (_exchange_update).
 _SPLIT_TOL = 1e-10
 
@@ -102,6 +104,13 @@ def _capped(total: int, what: str) -> int:
     if total > MAX_TOTAL_DIM:
         raise CapacityError(f"{what} dimension {total} exceeds {MAX_TOTAL_DIM}")
     return total
+
+
+def _ancilla_total(game: _Game, ancilla_dim: int, what: str) -> int:
+    """The joint dimension with one ancilla factor, checked before any draw."""
+    if ancilla_dim < 1:
+        raise ValueError(f"ancilla_dim must be at least 1, got {ancilla_dim}")
+    return _capped(game.dim_a * ancilla_dim, what)
 
 
 def _haar_column_blocks(
@@ -255,34 +264,28 @@ class _SplitSystem:
     The factors are ``qudit_count`` message qudits of dimension
     ``local_dim`` followed by the ancilla factors; ``split`` partitions
     them into the branch-0 and branch-1 subsystems of dimensions d0 and
-    d1.  ``unitary`` acts on all factors once the ancilla is prepared in
-    ``ancilla_state``.
+    d1.  ``isometry`` is the (total, d_a) pre-processing M = U (I x chi)
+    from the d_a-dimensional message register onto all factors: a unitary
+    U on all factors with the ancilla prepared in chi, of which the game
+    reads nothing else.  It is checked once, by ``M^dagger M = I``.
     """
 
-    def _set_layout(self, ancilla_dims, ancilla_state, unitary, split, qudit_count, local_dim):
+    def _set_layout(self, ancilla_dims, isometry, split, qudit_count, local_dim):
         ancilla_dims = tuple(int(d) for d in ancilla_dims)
-        chi = np.asarray(ancilla_state, dtype=np.complex128).reshape(-1)
-        if chi.size != math.prod(ancilla_dims):
-            raise ValueError("ancilla state does not match ancilla_dims")
-        if abs(np.linalg.norm(chi) - 1.0) > 1e-10:
-            raise ValueError("ancilla state must be normalized")
-        u = np.asarray(unitary, dtype=np.complex128)
-        total = _capped(local_dim**qudit_count * math.prod(ancilla_dims), "strategy")
-        if u.shape != (total, total):
-            raise ValueError(f"unitary shape {u.shape} does not match dimension {total}")
-        if not np.allclose(
-            u.conj().T @ u, np.eye(total), atol=_UNITARY_TOL, rtol=0.0
-        ):
-            raise ValueError("strategy unitary fails the unitarity check")
+        d_a = local_dim**qudit_count
+        total = _capped(d_a * math.prod(ancilla_dims), "strategy")
+        iso = np.asarray(isometry, dtype=np.complex128)
+        if iso.shape != (total, d_a):
+            raise ValueError(f"isometry shape {iso.shape} is not {(total, d_a)}")
+        if not np.allclose(iso.conj().T @ iso, np.eye(d_a), atol=_ISOMETRY_TOL, rtol=0.0):
+            raise ValueError("strategy isometry fails the check M^dagger M = I")
         idx0 = tuple(int(i) for i in split[0])
         idx1 = tuple(int(i) for i in split[1])
         if sorted(idx0 + idx1) != list(range(qudit_count + len(ancilla_dims))):
             raise ValueError("split must partition all tensor factors")
-        chi.setflags(write=False)
-        u.setflags(write=False)
+        iso.setflags(write=False)
         object.__setattr__(self, "ancilla_dims", ancilla_dims)
-        object.__setattr__(self, "ancilla_state", chi)
-        object.__setattr__(self, "unitary", u)
+        object.__setattr__(self, "isometry", iso)
         object.__setattr__(self, "split", (idx0, idx1))
         object.__setattr__(self, "qudit_count", int(qudit_count))
         object.__setattr__(self, "local_dim", int(local_dim))
@@ -308,45 +311,31 @@ class _SplitSystem:
     def total_dim(self) -> int:
         return math.prod(self.factors)
 
-    @property
-    def isometry(self) -> np.ndarray:
-        """M = U (I x chi), (total, d_a): all of U that the prepared ancilla reaches."""
-        chi = self.ancilla_state
-        return self.unitary.reshape(self.total_dim, -1, chi.size) @ chi
-
 
 @dataclass(frozen=True, eq=False)
 class Strategy(_SplitSystem):
     """A two-branch cheating strategy.
 
-    ``split`` partitions the tensor factors (m*n message qudits followed
-    by the ancilla factors) into the branch-0 and branch-1 subsystems.
-    ``measurements`` maps ``(branch, s)`` to the projective measurement
-    that branch applies once the shuffle tuple s is announced; each has
-    ``l**n`` outcomes interpreted as the guessed row value.
+    ``isometry`` maps the m*n message qudits onto the tensor factors (the
+    qudits followed by the ancilla factors), and ``split`` partitions
+    those into the branch-0 and branch-1 subsystems.  ``measurements``
+    maps ``(branch, s)`` to the projective measurement that branch applies
+    once the shuffle tuple s is announced; each has ``l**n`` outcomes
+    interpreted as the guessed row value.
     """
 
     targets: tuple[int, int]
     ancilla_dims: tuple[int, ...]
-    ancilla_state: np.ndarray
-    unitary: np.ndarray
+    isometry: np.ndarray
     split: tuple[tuple[int, ...], tuple[int, ...]]
     measurements: Mapping[tuple[int, tuple], ProjectiveMeasurement]
     qudit_count: int
     local_dim: int = 2
 
     def __init__(
-        self,
-        targets,
-        ancilla_dims,
-        ancilla_state,
-        unitary,
-        split,
-        measurements,
-        qudit_count,
-        local_dim=2,
+        self, targets, ancilla_dims, isometry, split, measurements, qudit_count, local_dim=2
     ):
-        self._set_layout(ancilla_dims, ancilla_state, unitary, split, qudit_count, local_dim)
+        self._set_layout(ancilla_dims, isometry, split, qudit_count, local_dim)
         meas = dict(measurements)
         for (branch, _s), pm in meas.items():
             self._check_dim(f"branch {branch}", pm, self.d1 if branch else self.d0)
@@ -549,24 +538,23 @@ def seesaw_optimize(
 ) -> SeesawResult:
     """Alternating maximization of the exact cheating probability.
 
-    One restart from a Haar-random unitary and random measurements, with
-    the ancilla in e_0.  Each iteration updates branch 0's measurements,
-    then branch 1's, against fresh scores, then moves M = U (I x e_0) to
+    One restart from random measurements and the isometry M = U (I x e_0)
+    of a Haar-random unitary U.  Each iteration updates branch 0's
+    measurements, then branch 1's, against fresh scores, then moves M to
     the polar factor of its gradient (a thin SVD); one guard reverts any
-    update that lowers the objective.  M is completed to the result's
-    unitary at the end.  Stops early once the gain per iteration falls
+    update that lowers the objective.  The result's strategy holds the
+    last M the kernel read.  Stops early once the gain per iteration falls
     below ``tol``; ``converged`` reports whether that happened within the
-    iteration budget.
+    iteration budget.  ``ancilla_dim`` below 1 raises ``ValueError``.
     """
     rng = _as_rng(seed)
     game = _game_for(config, targets)
     mn = config.m * config.n
     d_a = game.dim_a
-    total = _capped(d_a * ancilla_dim, "seesaw")
+    total = _ancilla_total(game, ancilla_dim, "seesaw")
 
     factors = (2,) * mn + (ancilla_dim,)
     split = (tuple(range(mn)), (mn,))
-    chi = np.eye(ancilla_dim, dtype=np.complex128)[0]
 
     # state[b][si]: branch b's column block per outcome; state[2]: M.  stacks[b]
     # holds the padded columns the kernel reads, rebuilt with state[b].
@@ -615,18 +603,13 @@ def seesaw_optimize(
             converged = True
             break
 
-    # Column a * ancilla_dim of the unitary is M's column a; the others are
-    # an orthonormal basis of the complement of M's range.
-    rest = np.linalg.qr(state[2], mode="complete")[0][:, d_a:].reshape(total, d_a, -1)
-    unitary = np.concatenate((state[2][:, :, None], rest), axis=2).reshape(total, total)
     measurements = {}
     for (si, s), b in itertools.product(enumerate(game.s_tuples), (0, 1)):
         measurements[(b, s)] = ProjectiveMeasurement(state[b][si])
     strategy = Strategy(
         targets=targets,
         ancilla_dims=(ancilla_dim,),
-        ancilla_state=chi,
-        unitary=unitary,
+        isometry=state[2],
         split=split,
         measurements=measurements,
         qudit_count=mn,
@@ -640,16 +623,18 @@ def random_strategy(
     ancilla_dim: int = 2,
     rng=0,
 ) -> Strategy:
-    """Draw a strategy with Haar unitary, Haar measurements, random split.
+    """Draw a strategy with Haar isometry, Haar measurements, random split.
 
-    Half the draws use the canonical split (all qudits against the
-    ancilla); the rest scatter the qudits over both branches, keeping
-    the ancilla on branch 1 and branch 0 nonempty.
+    The isometry is U (I x chi) for a Haar unitary U and a uniformly
+    random ancilla state chi.  Half the draws use the canonical split
+    (all qudits against the ancilla); the rest scatter the qudits over
+    both branches, keeping the ancilla on branch 1 and branch 0 nonempty.
+    ``ancilla_dim`` below 1 raises ``ValueError`` before any draw.
     """
     rng = _as_rng(rng)
     game = _game_for(config, targets)
     mn = config.m * config.n
-    total = _capped(game.dim_a * ancilla_dim, "strategy")
+    total = _ancilla_total(game, ancilla_dim, "strategy")
     factors = (2,) * mn + (ancilla_dim,)
     if rng.random() < 0.5:
         split0 = tuple(range(mn))
@@ -671,8 +656,7 @@ def random_strategy(
     return Strategy(
         targets=targets,
         ancilla_dims=(ancilla_dim,),
-        ancilla_state=chi,
-        unitary=_haar_unitary(total, rng),
+        isometry=_haar_unitary(total, rng).reshape(total, -1, ancilla_dim) @ chi,
         split=(split0, split1),
         measurements=measurements,
         qudit_count=mn,
@@ -721,8 +705,7 @@ def honest_single_branch_strategy(
     return Strategy(
         targets=targets,
         ancilla_dims=(1,),
-        ancilla_state=np.ones(1),
-        unitary=np.eye(game.dim_a),
+        isometry=np.eye(game.dim_a),
         split=(tuple(range(mn)), (mn,)),
         measurements=measurements,
         qudit_count=mn,
@@ -741,38 +724,33 @@ def intercept_strategy(config: DqacmConfig, targets: tuple[int, int]) -> Strateg
     game = _game_for(config, targets)
     l0, l1 = targets
     l, mn = config.l, config.m * config.n
-    total = _capped(l ** (2 * mn), "intercept")
+    _capped(l ** (2 * mn), "intercept")
 
-    # One copying unitary per slot: rotate to the target basis, CNOT
-    # into the matching ancilla qubit, rotate back.
+    # One copying isometry per slot, sum_r |b_r><b_r| (x) |r>: the qudit
+    # stays, and a fresh ancilla qudit records its label in the target
+    # basis b.
     b = config.family.bases[l0]
-    copy = np.zeros((l * l, l * l), dtype=np.complex128)
+    copy = np.zeros((l * l, l), dtype=np.complex128)
     for r in range(l):
-        proj = np.outer(b[r], b[r].conj())
-        shift = np.zeros((l, l))
-        for a in range(l):
-            shift[(a + r) % l, a] = 1.0
-        copy += np.kron(proj, shift)
-    unitary = np.eye(1, dtype=np.complex128)
+        copy += np.kron(np.outer(b[r], b[r].conj()), np.eye(l)[:, r : r + 1])
+    iso = np.eye(1, dtype=np.complex128)
     for _ in range(mn):
-        unitary = np.kron(unitary, copy)
-    # Factors above interleave (qudit, ancilla) per slot; reorder so all
-    # qudits come first to match the strategy layout.
+        iso = np.kron(iso, copy)
+    # The rows above interleave (qudit, ancilla) per slot; reorder them so
+    # all qudits come first, as the strategy layout has it.  Adding 0.0
+    # clears the sign that the products above leave on some zero
+    # imaginary parts: strategy_hash reads bytes, and -0.0 is not +0.0.
     interleaved = [x for k in range(mn) for x in (k, mn + k)]
-    unitary = _permute_rows(unitary, (l,) * (2 * mn), np.argsort(interleaved))
-    unitary = _permute_rows(unitary.conj().T, (l,) * (2 * mn), np.argsort(interleaved)).conj().T
+    iso = _permute_rows(iso, (l,) * (2 * mn), np.argsort(interleaved)) + 0.0
 
     measurements = {}
     for s in game.s_tuples:
         measurements[(0, s)] = ProjectiveMeasurement(_decode_blocks(config, b, s, l0))
         measurements[(1, s)] = ProjectiveMeasurement(_decode_blocks(config, np.eye(l), s, l1))
-    chi = np.zeros(l**mn)
-    chi[0] = 1.0
     return Strategy(
         targets=targets,
         ancilla_dims=(l,) * mn,
-        ancilla_state=chi,
-        unitary=unitary,
+        isometry=iso,
         split=(tuple(range(mn)), tuple(range(mn, 2 * mn))),
         measurements=measurements,
         qudit_count=mn,
@@ -850,36 +828,38 @@ class BranchingStrategy(_SplitSystem):
 
     The branching measurement has one outcome per element of the
     intermediate outcome set, of size ``m**2 (m - 1)``, and acts on the
-    split-ordered joint space.  Each outcome g selects one product
-    measurement pair for the two branches.
+    split-ordered joint space after the isometry (see
+    :class:`Strategy`).  Each outcome g selects one product measurement
+    pair for the two branches: ``conditioned`` has exactly the keys
+    ``range(intermediate.n_outcomes)``, and all its measurements share
+    one outcome count.
     """
 
     intermediate: ProjectiveMeasurement
     conditioned: Mapping[int, tuple[ProjectiveMeasurement, ProjectiveMeasurement]]
-    unitary: np.ndarray
+    isometry: np.ndarray
     ancilla_dims: tuple[int, ...]
-    ancilla_state: np.ndarray
     split: tuple[tuple[int, ...], tuple[int, ...]]
     qudit_count: int
     local_dim: int = 2
 
     def __init__(
-        self,
-        intermediate,
-        conditioned,
-        unitary,
-        ancilla_dims,
-        ancilla_state,
-        split,
-        qudit_count,
-        local_dim=2,
+        self, intermediate, conditioned, isometry, ancilla_dims, split, qudit_count, local_dim=2
     ):
-        self._set_layout(ancilla_dims, ancilla_state, unitary, split, qudit_count, local_dim)
+        self._set_layout(ancilla_dims, isometry, split, qudit_count, local_dim)
         self._check_dim("intermediate", intermediate, self.total_dim)
         conditioned = dict(conditioned)
+        if sorted(conditioned) != list(range(intermediate.n_outcomes)):
+            raise ValueError(
+                f"conditioned keys {sorted(conditioned)} are not "
+                f"range({intermediate.n_outcomes}), one per intermediate outcome"
+            )
         for g, (m0, m1) in conditioned.items():
             self._check_dim(f"outcome {g} branch 0", m0, self.d0)
             self._check_dim(f"outcome {g} branch 1", m1, self.d1)
+        counts = {pm.n_outcomes for pair in conditioned.values() for pm in pair}
+        if len(counts) > 1:
+            raise ValueError(f"conditioned measurements differ in outcome count: {sorted(counts)}")
         object.__setattr__(self, "intermediate", intermediate)
         object.__setattr__(self, "conditioned", conditioned)
 
@@ -890,11 +870,15 @@ def random_branching_strategy(
     ancilla_dim: int = 2,
     rng=0,
 ) -> BranchingStrategy:
-    """Haar-random branching strategy over the canonical split."""
+    """Haar-random branching strategy over the canonical split.
+
+    The isometry is drawn as in :func:`random_strategy`; ``ancilla_dim``
+    below 1 raises ``ValueError`` before any draw.
+    """
     rng = _as_rng(rng)
     game = _game_for(config, targets)
     mn = config.m * config.n
-    total = _capped(game.dim_a * ancilla_dim, "strategy")
+    total = _ancilla_total(game, ancilla_dim, "strategy")
     n_gamma = config.m**2 * (config.m - 1)
     chi = rng.standard_normal(ancilla_dim) + 1j * rng.standard_normal(ancilla_dim)
     chi /= np.linalg.norm(chi)
@@ -907,9 +891,8 @@ def random_branching_strategy(
     return BranchingStrategy(
         intermediate=random_measurement(total, n_gamma, rng),
         conditioned=conditioned,
-        unitary=_haar_unitary(total, rng),
+        isometry=_haar_unitary(total, rng).reshape(total, -1, ancilla_dim) @ chi,
         ancilla_dims=(ancilla_dim,),
-        ancilla_state=chi,
         split=(tuple(range(mn)), (mn,)),
         qudit_count=mn,
     )
@@ -1008,8 +991,7 @@ def strategy_hash(strategy: Strategy) -> str:
     h.update(repr(strategy.targets).encode())
     h.update(repr(strategy.ancilla_dims).encode())
     h.update(repr(strategy.split).encode())
-    h.update(np.round(strategy.ancilla_state, 12).tobytes())
-    h.update(np.round(strategy.unitary, 12).tobytes())
+    h.update(np.round(strategy.isometry, 12).tobytes())
     for key in sorted(strategy.measurements.keys()):
         h.update(repr(key).encode())
         # One outcome stack at a time: no pile of d x d projectors is kept.

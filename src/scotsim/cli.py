@@ -188,7 +188,7 @@ def _require_positive(args, *flags: str) -> None:
 
 
 def cmd_attack(args) -> int:
-    _require_positive(args, "--restarts", "--workers")
+    _require_positive(args, "--restarts", "--workers", "--ancilla-dim", "--iterations")
     m, n = args.m, args.n
     _family, thetas = _family_for(m, args.theta)
     lam = quantum.overlap_lambda(_family)

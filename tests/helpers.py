@@ -72,8 +72,8 @@ def reference_cheat_probability(config, strategy, gamma: float = 0.0) -> float:
     """Slow, plainly correct cheating probability of a two-branch strategy.
 
     Applies the Born rule to every input: for each shuffle tuple s and
-    bit matrix r it prepares ``prepare_product_state(r, s) (x) chi``,
-    applies the strategy unitary, reorders the tensor factors into
+    bit matrix r it prepares ``prepare_product_state(r, s)``, applies the
+    strategy's isometry M = U (I x chi), reorders the tensor factors into
     (branch 0, branch 1), and adds ``|| (P0[f0] (x) P1[f1]) psi ||**2``
     over every outcome pair the referee accepts, with the joint
     projector built by ``np.kron``.  An outcome is accepted when it
@@ -98,7 +98,7 @@ def reference_cheat_probability(config, strategy, gamma: float = 0.0) -> float:
         for bits in itertools.product(range(l), repeat=m * n):
             r = np.reshape(bits, (m, n))
             base = prepare_product_state(config.family, r, s).amplitudes
-            psi = strategy.unitary @ np.kron(base, strategy.ancilla_state)
+            psi = strategy.isometry @ base
             psi = psi.reshape(strategy.factors).transpose(order).reshape(-1)
             for f0 in accepted(row_value(r[l0])):
                 for f1 in accepted(row_value(r[l1])):

@@ -106,12 +106,31 @@ class TestClosedFormStrategies:
             0.75, abs=1e-12
         )
 
-    @pytest.mark.parametrize("theta,n", [(math.pi / 2, 1), (math.pi / 3, 1), (math.pi / 3, 2)])
+    @pytest.mark.parametrize(
+        "theta,n",
+        [
+            (math.pi / 2, 1),
+            (math.pi / 3, 1),
+            (math.pi / 3, 2),
+            # At the 4096-dim cap: cos(pi/6)**4 = 0.5625 and cos(pi/4)**6 = 0.125.
+            pytest.param((math.pi / 3, 2 * math.pi / 3), 2, id="m3-equal-spaced-n2"),
+            pytest.param(math.pi / 2, 3, id="bb84-n3"),
+        ],
+    )
     def test_intercept_matches_angle_formula(self, theta, n):
-        fam = planar_basis_family(2, (theta,))
-        cfg = DqacmConfig(m=2, n=n, family=fam)
-        strat = intercept_strategy(cfg, (0, 1))
-        expect = math.cos(theta / 2.0) ** (2 * n)
+        thetas = np.atleast_1d(theta)
+        fam = planar_basis_family(len(thetas) + 1, thetas)
+        cfg = DqacmConfig(m=fam.m, n=n, family=fam)
+        adversary._game_for(cfg, (0, 1))  # cached first: the peak is the build's alone
+        tracemalloc.start()
+        try:
+            strat = intercept_strategy(cfg, (0, 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The isometry alone is 4 MiB at the cap; a 4096-square unitary is 256 MiB.
+        assert peak < 64 * 2**20
+        expect = math.cos(thetas[0] / 2.0) ** (2 * n)
         assert cheat_probability_exact(cfg, strat) == pytest.approx(expect, abs=1e-9)
 
     def test_intercept_m3(self, equal3):
@@ -139,11 +158,12 @@ class TestRandomStrategies:
         assert strategy_hash(a) != strategy_hash(c)
 
     def test_draws_match_recorded_digests(self):
-        # sha256 over strategy_hash of 25 draws per grid shape, and over the
-        # raw projector bytes of random_measurement draws (rank-0 outcomes
-        # at dim < 4), recorded before the see-saw moved to column blocks.
-        # One BLAS thread: at m=3, n=2 the rounded 128-dim unitary differs
-        # in some last digits between thread counts.
+        # sha256 over strategy_hash of 25 draws per grid shape, recorded
+        # once strategies stored their isometry, and over the raw projector
+        # bytes of random_measurement draws (rank-0 outcomes at dim < 4),
+        # recorded before the see-saw moved to column blocks.  One BLAS
+        # thread: at m=3, n=2 the rounded 128-dim Haar draw differs in some
+        # last digits between thread counts.
         res = run_python(
             """
             import hashlib
@@ -169,10 +189,10 @@ class TestRandomStrategies:
         )
         assert res.returncode == 0, res.stderr
         assert res.stdout.split() == [
-            "deddee57ec1981afb5f3948eb9f039a0ac13313aec92afaa5e68f8872401b3f4",
-            "338f939e5d35dda05a6b5b6f73375e4de3ad88090af9e593ebef54b84c6feec6",
-            "ddace1ff92bd9e872e5ab8983bb812f6eb18a1d063263c82494d09e6330da757",
-            "80b91c773ab398887265762ca86628539cbf3b00cc65676c0dc5e767137e6c90",
+            "b0c29b1fc8047417e0f397016aac047ac3f9aca6d12d2bf4359e9de3cbe30eec",
+            "cb4df7b1fafae6d2928d6891521a3b80a9f7c0125039cab53dc9e774d29566e5",
+            "1473737657ca1600f3d07f53ab42b58172a14da4a78d5992af3710a0aa27b835",
+            "d3c7eafce1faa780949be08f2265a272f3efbf5a2665638b8a347d2d9f8f6400",
             "4445fcb53a464217a12435b77d1b4c0c7808d62d378ea4e362824e53e1730db5",
         ]
 
@@ -218,13 +238,21 @@ class TestStrategyValidation:
     def rebuilt(self, request, cfg21):
         return lambda **changes: _rebuilt(request.param, cfg21, **changes)
 
-    def test_bad_state_norm(self, rebuilt):
-        with pytest.raises(ValueError):
-            rebuilt(ancilla_state=np.array([2.0, 0.0]))
+    def test_non_isometry_rejected(self, rebuilt):
+        good, _ = rebuilt()
+        with pytest.raises(ValueError, match="M\\^dagger M = I"):
+            rebuilt(isometry=2 * good.isometry)
+        # A unitary on all factors has the wrong shape: (8, 8), not (8, 4).
+        with pytest.raises(ValueError, match="isometry shape"):
+            rebuilt(isometry=np.eye(good.total_dim))
 
-    def test_non_unitary_rejected(self, rebuilt):
-        with pytest.raises(ValueError):
-            rebuilt(unitary=np.ones((8, 8)))
+    @pytest.mark.parametrize("draw", [random_strategy, random_branching_strategy, seesaw_optimize])
+    def test_ancilla_below_one_rejected_before_any_draw(self, draw, cfg21):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="ancilla_dim must be at least 1, got 0"):
+            draw(cfg21, (0, 1), 0, rng)
+        assert rng.bit_generator.state == before
 
     def test_split_must_partition(self, rebuilt):
         good, _ = rebuilt()
@@ -243,6 +271,16 @@ class TestStrategyValidation:
         swapped = {**good.conditioned, 3: good.conditioned[3][::-1]}
         with pytest.raises(ValueError, match="outcome 3 branch 0 measurement has dim 2, want 4"):
             _rebuilt(random_branching_strategy, cfg21, conditioned=swapped)
+        # An intermediate outcome without a pair, and pairs that differ in
+        # outcome count: the equivalence check could not run on either.
+        missing = {g: pair for g, pair in good.conditioned.items() if g != 3}
+        with pytest.raises(ValueError, match="not range\\(4\\)"):
+            _rebuilt(random_branching_strategy, cfg21, conditioned=missing)
+        rng = np.random.default_rng(0)
+        four = (random_measurement(4, 4, rng), random_measurement(2, 4, rng))
+        wider = {**good.conditioned, 3: four}
+        with pytest.raises(ValueError, match="differ in outcome count: \\[2, 4\\]"):
+            _rebuilt(random_branching_strategy, cfg21, conditioned=wider)
 
     def test_capacity_cap(self, cfg21, bb84):
         with pytest.raises(CapacityError):
@@ -293,9 +331,8 @@ class TestSeesaw:
 
     @pytest.mark.parametrize("ancilla_dim", [1, 2, 8])
     def test_result_strategy_is_consistent_m3n2(self, cfg32, ancilla_dim, monkeypatch):
-        # The see-saw keeps the isometry M and completes it to the result's
-        # unitary once (an empty completion at ancilla 1).  The last kernel
-        # pass reads the final M.
+        # The see-saw keeps the isometry M, and the result's strategy holds
+        # the M of the last kernel pass as it stands.
         kernel, seen = adversary._contract, []
 
         def recording(game, iso, *args, **kwargs):
@@ -308,7 +345,7 @@ class TestSeesaw:
         again = cheat_probability_exact(cfg32, res.strategy)
         assert again == pytest.approx(res.p_exact, abs=1e-12)
         assert final.shape == (64 * ancilla_dim, 64)
-        assert np.abs(res.strategy.unitary[:, ::ancilla_dim] - final).max() < 1e-12
+        assert res.strategy.isometry.tobytes() == final.tobytes()
 
     def test_deterministic_per_seed(self, cfg21):
         a = seesaw_optimize(cfg21, (0, 1), iterations=25, seed=5)

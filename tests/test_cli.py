@@ -217,7 +217,7 @@ class TestAttack:
         parallel = capsys.readouterr().out
         assert serial == parallel
 
-    @pytest.mark.parametrize("flag", ["--restarts", "--workers"])
+    @pytest.mark.parametrize("flag", ["--restarts", "--workers", "--ancilla-dim", "--iterations"])
     def test_count_below_one_exits_2(self, flag, capsys):
         rc = main(["attack", "--m", "2", "--n", "1", "--iterations", "1", flag, "0"])
         assert rc == 2
@@ -276,16 +276,16 @@ class TestAttack:
         "args, digest",
         [
             ("--m 3 --n 2 --restarts 1 --iterations 2 --seed 0",
-             "4e918761815de0ab921b8226739c065c79a3d0f105b2c059e751a6a74bb25198"),
+             "da0b148fa160809139e346e13efd90774d2a02fb8e989466592b50282a64a319"),
             ("--m 2 --n 1 --restarts 2 --seed 0",
-             "93a170fe6052f1c43bbaf0a179a0383efdb261c722e1e33b28ca4c0146c61ff3"),
+             "96f7ccafa737226b7b592ce6674a1003a7cc37e6afc449a2e22ab6b439586620"),
         ],
         ids=["m3n2", "m2n1"],
     )
     def test_stdout_matches_recorded_digest(self, args, digest):
-        # sha256 of the canonical stdout, recorded once the see-saw kept
-        # the isometry and completed it to a unitary at the end: it pins
-        # the see-saw traces and the final strategy_hash byte for byte.
+        # sha256 of the canonical stdout, recorded once strategy_hash read
+        # the stored isometry: it pins the see-saw traces and the final
+        # strategy_hash byte for byte.
         stdout = self._attack_stdout(args)
         assert hashlib.sha256(stdout.encode()).hexdigest() == digest
 

@@ -40,7 +40,9 @@ def _strategies(m, n):
     out = [random_strategy(cfg, (0, 1), rng=seed) for seed in (0, 1)]
     out.append(random_strategy(cfg, (1, 0), rng=2))
     out.append(honest_single_branch_strategy(cfg, (0, 1)))
-    # The m=3, n=2 intercept strategy needs a 4096-dim unitary (256 MB).
+    # Not the m=3, n=2 intercept strategy: its 4096-dim joint space would
+    # make the Born reference build 4096-dim joint projectors, 256 MiB
+    # each.  Its value is checked against the closed form in test_adversary.
     if (m, n) != (3, 2):
         out.append(intercept_strategy(cfg, (0, 1)))
     return cfg, out
@@ -153,8 +155,7 @@ def test_local_dimension_mismatch_rejected(cfg21):
     strat = Strategy(
         targets=(0, 1),
         ancilla_dims=(1,),
-        ancilla_state=np.ones(1),
-        unitary=np.eye(9),
+        isometry=np.eye(9),
         split=((0,), (1, 2)),
         measurements={
             (branch, s): random_measurement(3, 2, rng)
