@@ -238,6 +238,31 @@ class TestStrategyValidation:
     def rebuilt(self, request, cfg21):
         return lambda **changes: _rebuilt(request.param, cfg21, **changes)
 
+    @staticmethod
+    def _isometry(unitary, ancilla_state):
+        """M = U (I x chi), the ancilla as the last tensor factor."""
+        d_anc = len(ancilla_state)
+        return unitary.reshape(len(unitary), -1, d_anc) @ ancilla_state
+
+    def test_bad_state_norm(self, rebuilt):
+        good, _ = rebuilt()
+        eye = np.eye(good.total_dim)
+        d_anc = good.total_dim // good.isometry.shape[1]
+        chi = np.zeros(d_anc)
+        chi[0] = 1.0
+        rebuilt(isometry=self._isometry(eye, chi))
+        with pytest.raises(ValueError, match="M\\^dagger M = I"):
+            rebuilt(isometry=self._isometry(eye, 2 * chi))
+
+    def test_non_unitary_rejected(self, rebuilt):
+        good, _ = rebuilt()
+        d_anc = good.total_dim // good.isometry.shape[1]
+        chi = np.zeros(d_anc)
+        chi[0] = 1.0
+        ones = np.ones((good.total_dim, good.total_dim))
+        with pytest.raises(ValueError, match="M\\^dagger M = I"):
+            rebuilt(isometry=self._isometry(ones, chi))
+
     def test_non_isometry_rejected(self, rebuilt):
         good, _ = rebuilt()
         with pytest.raises(ValueError, match="M\\^dagger M = I"):
