@@ -5,13 +5,14 @@ modelled by a pre-processing isometry M from the message register into
 the message and an ancilla, a split of that joint system into two
 halves, and per-shuffle projective measurements on each half.  M is
 U (I x chi) for a unitary U and an ancilla prepared in chi: all of the
-pre-processing that the game can see.  The cheating probability
-averages, over all shuffle tuples s and bit matrices r, the chance that
-half 0 outputs the row named by target index l0 while half 1
-simultaneously outputs the row named by l1.  Everything is evaluated by
-exact enumeration over the (m!)**n shuffle tuples and l**(m n) bit
-matrices, which caps problem sizes at m in {2, 3}, n at most 3, and
-2**12 total dimensions.
+pre-processing that the game can see.  For a Haar U and any fixed chi,
+M is a Haar-random isometry (left invariance of the Haar measure), so
+random draws take M directly.  The cheating probability averages, over
+all shuffle tuples s and bit matrices r, the chance that half 0 outputs
+the row named by target index l0 while half 1 simultaneously outputs
+the row named by l1.  Everything is evaluated by exact enumeration over
+the (m!)**n shuffle tuples and l**(m n) bit matrices, which caps
+problem sizes at m in {2, 3}, n at most 3, and 2**12 total dimensions.
 
 The see-saw optimizer alternates closed-form coordinate updates:
 pairwise projector exchanges driven by per-outcome score operators for
@@ -21,24 +22,24 @@ regressive one, so the reported trace is monotone.
 
 Every measurement is built from orthonormal column blocks, one (d, rank)
 block V_e per outcome with P_e = V_e V_e^dagger (see
-:class:`~scotsim.quantum.ProjectiveMeasurement`): Haar draws hand over
-column slices of one Haar unitary, the closed-form strategies Kronecker
-products of basis columns and identities.  The contraction kernel reads
-the blocks as zero-padded column stacks and never builds a d x d
-projector nor a dense encoding: it encodes each shuffle tuple round by
-round and undoes it the same way for the gradient, and the lemma check
-(:func:`verify_sandwich_norm`) reads the same round factors.  The
-see-saw keeps the blocks and M as its state, and the kernel hands it
-score factors X_e rather than d x d score operators (S_e is proportional
-to X_e X_e^dagger).  An exchange of outcomes a and b therefore needs no
-d x d eigendecomposition: their joint range is spanned by [V_a V_b] as
-it stands, and only the compressed score difference on it is
-diagonalised.  Its eigenvalues above a relative tolerance
-(``_SPLIT_TOL`` times the largest magnitude) go to a and the rest to b,
-so rounding noise never decides on which side a zero eigenvalue falls,
-and results do not depend on the BLAS thread count.  A revert restores
-one branch's blocks or M, and the final blocks and M become the
-result's strategy as they stand.
+:class:`~scotsim.quantum.ProjectiveMeasurement`): a Haar measurement
+splits the columns of one Haar unitary, the closed-form strategies take
+Kronecker products of basis columns and identities.  The contraction
+kernel reads the blocks as zero-padded column stacks and never builds a
+d x d projector nor a dense encoding: it encodes each shuffle tuple
+round by round and undoes it the same way for the gradient, and the
+lemma check (:func:`verify_sandwich_norm`) reads the same round
+factors.  The see-saw keeps the blocks and M as its state, and the kernel
+hands it score factors X_e rather than d x d score operators (S_e is
+proportional to X_e X_e^dagger).  An exchange of outcomes a and b
+therefore needs no d x d eigendecomposition: their joint range is
+spanned by [V_a V_b] as it stands, and only the compressed score
+difference on it is diagonalised.  Its eigenvalues above a relative
+tolerance (``_SPLIT_TOL`` times the largest magnitude) go to a and the
+rest to b, so rounding noise never decides on which side a zero
+eigenvalue falls, and results do not depend on the BLAS thread count.  A
+revert restores one branch's blocks or M, and the final blocks and M
+become the result's strategy as they stand.
 """
 
 from __future__ import annotations
@@ -92,8 +93,14 @@ _ISOMETRY_TOL = 1e-9
 _SPLIT_TOL = 1e-10
 
 
-def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def _haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random (rows, cols) isometry; with rows == cols, a Haar unitary.
+
+    Q of a complex Gaussian's thin QR, each column times the phase of R's
+    diagonal entry: without that fix the draw is not Haar (Mezzadri,
+    Notices AMS 54, 592 (2007)).
+    """
+    z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
@@ -116,19 +123,14 @@ def _ancilla_total(game: _Game, ancilla_dim: int, what: str) -> int:
 def _haar_column_blocks(
     dim: int, n_outcomes: int, rng: np.random.Generator, ranks: Sequence[int] | None = None
 ) -> list[np.ndarray]:
-    """Column blocks of one Haar unitary, one (dim, rank) block per outcome.
-
-    Outcome k takes the next ``ranks[k]`` columns.  Default ranks split
-    ``dim`` as evenly as possible over the outcomes, so when
-    ``dim < n_outcomes`` the surplus outcomes get rank 0.
-    """
+    """Column blocks of one Haar unitary: outcome k takes the next ``ranks[k]``."""
     if ranks is None:
         base, rem = divmod(dim, n_outcomes)
         ranks = [base + (1 if k < rem else 0) for k in range(n_outcomes)]
     ranks = [int(x) for x in ranks]
     if len(ranks) != n_outcomes or any(x < 0 for x in ranks) or sum(ranks) != dim:
         raise ValueError(f"rank profile {ranks} does not resolve dimension {dim}")
-    return np.split(_haar_unitary(dim, rng), np.cumsum(ranks[:-1]), axis=1)
+    return np.split(_haar_isometry(dim, dim, rng), np.cumsum(ranks[:-1]), axis=1)
 
 
 def random_measurement(
@@ -265,9 +267,9 @@ class _SplitSystem:
     ``local_dim`` followed by the ancilla factors; ``split`` partitions
     them into the branch-0 and branch-1 subsystems of dimensions d0 and
     d1.  ``isometry`` is the (total, d_a) pre-processing M = U (I x chi)
-    from the d_a-dimensional message register onto all factors: a unitary
-    U on all factors with the ancilla prepared in chi, of which the game
-    reads nothing else.  It is checked once, by ``M^dagger M = I``.
+    from the d_a-dimensional message register onto all factors, for a
+    unitary U on all factors and the ancilla in chi; the game reads nothing
+    else, and random producers draw M alone.  Checked once: M^dagger M = I.
     """
 
     def _set_layout(self, ancilla_dims, isometry, split, qudit_count, local_dim):
@@ -538,11 +540,11 @@ def seesaw_optimize(
 ) -> SeesawResult:
     """Alternating maximization of the exact cheating probability.
 
-    One restart from random measurements and the isometry M = U (I x e_0)
-    of a Haar-random unitary U.  Each iteration updates branch 0's
-    measurements, then branch 1's, against fresh scores, then moves M to
-    the polar factor of its gradient (a thin SVD); one guard reverts any
-    update that lowers the objective.  The result's strategy holds the
+    One restart from random measurements and a Haar-random isometry M.
+    Each iteration updates branch 0's measurements, then branch 1's,
+    against fresh scores, then moves M to the polar factor of its
+    gradient (a thin SVD); one guard reverts any update that lowers the
+    objective.  The result's strategy holds the
     last M the kernel read.  Stops early once the gain per iteration falls
     below ``tol``; ``converged`` reports whether that happened within the
     iteration budget.  ``ancilla_dim`` below 1 raises ``ValueError``.
@@ -558,7 +560,7 @@ def seesaw_optimize(
 
     # state[b][si]: branch b's column block per outcome; state[2]: M.  stacks[b]
     # holds the padded columns the kernel reads, rebuilt with state[b].
-    state = [[], [], _haar_unitary(total, rng)[:, ::ancilla_dim].copy()]
+    state = [[], [], _haar_isometry(total, d_a, rng)]
     for _ in game.s_tuples:
         for b, d in enumerate((d_a, ancilla_dim)):
             state[b].append(_haar_column_blocks(d, game.n_out, rng))
@@ -625,10 +627,11 @@ def random_strategy(
 ) -> Strategy:
     """Draw a strategy with Haar isometry, Haar measurements, random split.
 
-    The isometry is U (I x chi) for a Haar unitary U and a uniformly
-    random ancilla state chi.  Half the draws use the canonical split
-    (all qudits against the ancilla); the rest scatter the qudits over
-    both branches, keeping the ancilla on branch 1 and branch 0 nonempty.
+    The isometry M is drawn Haar-random (:func:`_haar_isometry`), the law
+    of U (I x chi) for a Haar U and any chi.  Half the draws use the
+    canonical split (all qudits against the ancilla); the rest scatter the
+    qudits over both branches, keeping the ancilla on branch 1 and branch
+    0 nonempty.
     ``ancilla_dim`` below 1 raises ``ValueError`` before any draw.
     """
     rng = _as_rng(rng)
@@ -647,8 +650,6 @@ def random_strategy(
     d0 = math.prod(factors[i] for i in split0)
     d1 = math.prod(factors[i] for i in split1)
 
-    chi = rng.standard_normal(ancilla_dim) + 1j * rng.standard_normal(ancilla_dim)
-    chi /= np.linalg.norm(chi)
     measurements = {}
     for s in game.s_tuples:
         measurements[(0, s)] = random_measurement(d0, game.n_out, rng)
@@ -656,7 +657,7 @@ def random_strategy(
     return Strategy(
         targets=targets,
         ancilla_dims=(ancilla_dim,),
-        isometry=_haar_unitary(total, rng).reshape(total, -1, ancilla_dim) @ chi,
+        isometry=_haar_isometry(total, game.dim_a, rng),
         split=(split0, split1),
         measurements=measurements,
         qudit_count=mn,
@@ -872,16 +873,14 @@ def random_branching_strategy(
 ) -> BranchingStrategy:
     """Haar-random branching strategy over the canonical split.
 
-    The isometry is drawn as in :func:`random_strategy`; ``ancilla_dim``
-    below 1 raises ``ValueError`` before any draw.
+    The isometry M is a Haar-random isometry, as in :func:`random_strategy`;
+    ``ancilla_dim`` below 1 raises ``ValueError`` before any draw.
     """
     rng = _as_rng(rng)
     game = _game_for(config, targets)
     mn = config.m * config.n
     total = _ancilla_total(game, ancilla_dim, "strategy")
     n_gamma = config.m**2 * (config.m - 1)
-    chi = rng.standard_normal(ancilla_dim) + 1j * rng.standard_normal(ancilla_dim)
-    chi /= np.linalg.norm(chi)
     conditioned = {}
     for g in range(n_gamma):
         conditioned[g] = (
@@ -891,7 +890,7 @@ def random_branching_strategy(
     return BranchingStrategy(
         intermediate=random_measurement(total, n_gamma, rng),
         conditioned=conditioned,
-        isometry=_haar_unitary(total, rng).reshape(total, -1, ancilla_dim) @ chi,
+        isometry=_haar_isometry(total, game.dim_a, rng),
         ancilla_dims=(ancilla_dim,),
         split=(tuple(range(mn)), (mn,)),
         qudit_count=mn,

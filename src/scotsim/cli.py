@@ -54,6 +54,8 @@ def _bits(arr) -> str:
 
 
 def cmd_run(args) -> int:
+    if args.c is not None and args.mode != "pcc":
+        raise ConfigError(f"--c is for pcc only, not --mode {args.mode}")
     if args.layout:
         with open(args.layout) as fh:
             layout = minkowski.validate_layout(minkowski.layout_from_json(json.load(fh)))

@@ -259,7 +259,13 @@ def scot_config(
     flip_rate: float = 0.0,
     gamma: float = 0.0,
 ) -> ScotConfig:
-    """Convenience builder wiring the default layout and basis family."""
+    """Convenience builder wiring the default layout and basis family.
+
+    ``thetas`` chooses the pcc basis family; any other mode raises
+    ``ConfigError`` for it, since it would have no effect.
+    """
+    if thetas is not None and mode != "pcc":
+        raise ConfigError(f"thetas set the pcc basis family; mode {mode!r} has none")
     if layout is None:
         layout = standard_layout(m)
     dq = None

@@ -157,13 +157,15 @@ class TestRandomStrategies:
         assert strategy_hash(a) == strategy_hash(b)
         assert strategy_hash(a) != strategy_hash(c)
 
-    def test_draws_match_recorded_digests(self):
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_draws_match_recorded_digests(self, threads):
         # sha256 over strategy_hash of 25 draws per grid shape, recorded
-        # once strategies stored their isometry, and over the raw projector
-        # bytes of random_measurement draws (rank-0 outcomes at dim < 4),
-        # recorded before the see-saw moved to column blocks.  One BLAS
-        # thread: at m=3, n=2 the rounded 128-dim Haar draw differs in some
-        # last digits between thread counts.
+        # once random_strategy drew its isometry by a thin Haar QR (and
+        # reproduced from the earlier commit's random_measurement, Strategy
+        # and strategy_hash), and over the raw projector bytes of
+        # random_measurement draws (rank-0 outcomes at dim < 4), recorded
+        # before the see-saw moved to column blocks.  Two BLAS threads must
+        # give the same bytes: the thin QR rounds alike with either count.
         res = run_python(
             """
             import hashlib
@@ -185,14 +187,14 @@ class TestRandomStrategies:
                         h.update(np.asarray(p).tobytes())
             print(h.hexdigest())
             """,
-            env={"OPENBLAS_NUM_THREADS": "1"},
+            env={"OPENBLAS_NUM_THREADS": threads},
         )
         assert res.returncode == 0, res.stderr
         assert res.stdout.split() == [
-            "b0c29b1fc8047417e0f397016aac047ac3f9aca6d12d2bf4359e9de3cbe30eec",
-            "cb4df7b1fafae6d2928d6891521a3b80a9f7c0125039cab53dc9e774d29566e5",
-            "1473737657ca1600f3d07f53ab42b58172a14da4a78d5992af3710a0aa27b835",
-            "d3c7eafce1faa780949be08f2265a272f3efbf5a2665638b8a347d2d9f8f6400",
+            "9b6760c1e4b414754d5948914051ae06e1cf4646e1291ff6b16851a21504b4fc",
+            "8fd93b6484d4da302bf9e73d5a8bbe9eabe70cf5a431cc660b1106fc3fbe121e",
+            "c98306b1e623960def7e5310d32b8a48e92e6dd602da081e02baf657e17d976b",
+            "3014c12a42b148baba0f1eb1923f48e2d3626412222ed12e6462171c5cc3cef3",
             "4445fcb53a464217a12435b77d1b4c0c7808d62d378ea4e362824e53e1730db5",
         ]
 
@@ -222,6 +224,44 @@ class TestRandomStrategies:
     def test_targets_recorded(self, cfg32):
         strat = random_strategy(cfg32, (2, 0), rng=0)
         assert strat.targets == (2, 0)
+
+
+def _haar_moment_misses(draw):
+    """Entries of 20,000 (8, 4) draws whose mean misses its Haar value.
+
+    Over Haar-random isometries E M_ij = 0 and E |M_ij|**2 = 1 / rows; a
+    miss is a mean more than 5 standard errors away, for the real or the
+    imaginary part of M_ij or for |M_ij|**2.
+    """
+    rows, cols, draws = 8, 4, 20_000
+    rng = np.random.default_rng(0)
+    sample = np.stack([draw(rows, cols, rng) for _ in range(draws)])
+    gram = sample.conj().swapaxes(1, 2) @ sample
+    assert np.abs(gram - np.eye(cols)).max() < 1e-12
+    misses = []
+    for name, x, want in (
+        ("Re M", sample.real, 0.0),
+        ("Im M", sample.imag, 0.0),
+        ("|M|^2", np.abs(sample) ** 2, 1 / rows),
+    ):
+        z = (x.mean(axis=0) - want) / (x.std(axis=0) / math.sqrt(draws))
+        misses += [(name, i, j, float(z[i, j])) for i, j in zip(*np.nonzero(np.abs(z) > 5))]
+    return misses
+
+
+class TestHaarIsometry:
+    def test_moments_are_haar(self):
+        assert _haar_moment_misses(adversary._haar_isometry) == []
+
+    def test_moments_catch_a_missing_phase_fix(self):
+        # The bare thin QR: Q inherits LAPACK's sign convention for R's
+        # diagonal, which biases its entries (E M_00 is about -0.20).
+        def bare_qr(rows, cols, rng):
+            z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+            return np.linalg.qr(z)[0]
+
+        misses = _haar_moment_misses(bare_qr)
+        assert ("Re M", 0, 0) in {m[:3] for m in misses}
 
 
 def _rebuilt(draw, cfg, **changes):
@@ -371,6 +411,20 @@ class TestSeesaw:
         assert again == pytest.approx(res.p_exact, abs=1e-12)
         assert final.shape == (64 * ancilla_dim, 64)
         assert res.strategy.isometry.tobytes() == final.tobytes()
+
+    def test_ancilla_64_at_the_cap(self, cfg32):
+        # 64 x 64 = 4096 dims, MAX_TOTAL_DIM: the start is a thin (4096, 64)
+        # Haar isometry, not a 4096-square unitary (256 MiB alone).
+        adversary._game_for(cfg32, (0, 1))  # cached first: the peak is the see-saw's alone
+        tracemalloc.start()
+        try:
+            res = seesaw_optimize(cfg32, (0, 1), ancilla_dim=64, iterations=1, seed=0, tol=-1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 2**20
+        assert len(res.trace) == 2 and res.trace[1] >= res.trace[0]
+        assert res.strategy.isometry.shape == (4096, 64)
 
     def test_deterministic_per_seed(self, cfg21):
         a = seesaw_optimize(cfg21, (0, 1), iterations=25, seed=5)

@@ -89,6 +89,16 @@ class TestRun:
         assert rc == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("mode", ["psr", "pqc"])
+    @pytest.mark.parametrize("flag", [["--c", "1"], ["--theta", "0.3"]], ids=["c", "theta"])
+    def test_pcc_only_flag_exits_2(self, mode, flag, tmp_path, capsys):
+        argv = ["run", "--mode", mode, "--m", "2", "--n", "2", "--b", "0", "--out", str(tmp_path)]
+        assert main(argv + flag) == 2
+        assert "pcc" in capsys.readouterr().err
+        assert not (tmp_path / "transcript.json").exists()
+        assert main(argv) == 0
+        capsys.readouterr()
+
     def test_bad_m_exits_2(self, capsys):
         assert main(["run", "--mode", "psr", "--m", "1", "--n", "2", "--b", "0"]) == 2
         capsys.readouterr()
@@ -258,16 +268,14 @@ class TestAttack:
         capsys.readouterr()
 
     @staticmethod
-    def _attack_stdout(args):
-        # One BLAS thread, since the m=3, n=2 Haar draws round differently
-        # with more.
+    def _attack_stdout(args, threads="1"):
         res = run_python(
             f"""
             import sys
             from scotsim.cli import main
             sys.exit(main({["attack", *args.split()]!r}))
             """,
-            env={"OPENBLAS_NUM_THREADS": "1"},
+            env={"OPENBLAS_NUM_THREADS": threads},
         )
         assert res.returncode == 0, res.stderr
         return res.stdout
@@ -276,42 +284,47 @@ class TestAttack:
         "args, digest",
         [
             ("--m 3 --n 2 --restarts 1 --iterations 2 --seed 0",
-             "da0b148fa160809139e346e13efd90774d2a02fb8e989466592b50282a64a319"),
+             "5696aa874a078df34013b863c89979de1f85cc52887f9a40d43301f1e323f705"),
             ("--m 2 --n 1 --restarts 2 --seed 0",
-             "96f7ccafa737226b7b592ce6674a1003a7cc37e6afc449a2e22ab6b439586620"),
+             "fd09e08a18dbf70980090f3583edacdc7de04ac29ac52e244d0cb83c0ab64d1e"),
         ],
         ids=["m3n2", "m2n1"],
     )
     def test_stdout_matches_recorded_digest(self, args, digest):
-        # sha256 of the canonical stdout, recorded once strategy_hash read
-        # the stored isometry: it pins the see-saw traces and the final
-        # strategy_hash byte for byte.
-        stdout = self._attack_stdout(args)
-        assert hashlib.sha256(stdout.encode()).hexdigest() == digest
+        # sha256 of the canonical stdout, recorded once the see-saw started
+        # from a thin Haar isometry: it pins the see-saw traces and the
+        # final strategy_hash byte for byte, with one BLAS thread and two.
+        for threads in ("1", "2"):
+            stdout = self._attack_stdout(args, threads)
+            assert hashlib.sha256(stdout.encode()).hexdigest() == digest, threads
 
     @pytest.mark.parametrize(
         "args, trace",
         [
             ("--m 3 --n 2 --restarts 1 --iterations 2 --seed 0",
-             [0.06314282055208101, 0.24159552693894182, 0.281112425286938]),
+             [0.06210728012951607, 0.23842333980107971, 0.27665177311871275]),
             ("--m 2 --n 1 --restarts 2 --seed 0",
-             [0.17420256836823453, 0.7713629337097597, 0.8446182423035975,
-              0.8517695322504635, 0.8530213183798036, 0.853378990849962,
-              0.8534952978188208, 0.8535339089989928, 0.8535468249646025,
-              0.8535511691663307, 0.8535526366638051, 0.8535531340984899,
-              0.8535533031671529, 0.8535533607508118, 0.8535533803952599,
-              0.8535533871053006, 0.8535533893995019, 0.8535533901844895,
-              0.8535533904532375, 0.8535533905452883, 0.8535533905768282]),
+             [0.19758863528213694, 0.7374080273619421, 0.8298231563371751,
+              0.8462508545176632, 0.8512033652090165, 0.8527907932578912,
+              0.853304479604465, 0.8534716824460977, 0.8535264362654895,
+              0.8535444631065614, 0.8535504243786773, 0.8535524026103183,
+              0.8535530608820829, 0.8535532803957122, 0.853553353719005,
+              0.853553378242895, 0.8535533864536534, 0.853553389204914,
+              0.853553390127411, 0.8535533904368899, 0.8535533905407606,
+              0.8535533905756344]),
         ],
         ids=["m3n2", "m2n1"],
     )
     def test_trace_matches_recorded_values(self, args, trace):
-        # The see-saw trace as recorded before the kernel read column
-        # stacks; summation order may move only its last bits.
+        # The see-saw trace as recorded once the see-saw started from a
+        # thin Haar isometry; summation order may move only its last bits.
+        # The m=2, n=1 trace ends at the optimum cos(pi/8)**2.
         doc = json.loads(self._attack_stdout(args))
         assert len(doc["trace"]) == len(trace)
         assert max(abs(a - b) for a, b in zip(doc["trace"], trace)) < 1e-12
         assert abs(doc["p_exact"] - trace[-1]) < 1e-12
+        if args.startswith("--m 2 --n 1"):
+            assert abs(doc["p_exact"] - math.cos(math.pi / 8) ** 2) < 1e-9
 
 
 class TestVerify:

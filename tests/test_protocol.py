@@ -92,6 +92,12 @@ class TestConfig:
         assert cfg.layout.m == 3
         assert cfg.dqacm is not None and cfg.dqacm.m == 3
 
+    @pytest.mark.parametrize("mode", ["psr", "pqc"])
+    def test_thetas_outside_pcc_rejected(self, mode, layout2):
+        with pytest.raises(ConfigError, match=f"mode '{mode}' has none"):
+            scot_config(mode, 2, 4, layout2, thetas=(0.3,))
+        assert scot_config("pcc", 2, 4, layout2, thetas=(0.3,)).dqacm is not None
+
     def test_wrong_mode_runner_pairing(self, layout2):
         cfg = scot_config("psr", 2, 4, layout2)
         with pytest.raises(ConfigError):
