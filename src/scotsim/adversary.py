@@ -20,6 +20,14 @@ each half, then a polar step on M (:attr:`Strategy.isometry`).  Each
 update is non-decreasing, and one guard reverts any numerically
 regressive one, so the reported trace is monotone.
 
+The gamma game credits an answer within Hamming distance ``n * gamma``
+of the true row, so it depends on gamma only through the integer radius
+``floor(n * gamma)``, and radius 0 is the exact game.  A strategy is
+frozen, its isometry and measurement map included, so it keeps the value
+of each game it is scored on, keyed by the game and the radius: scoring
+one strategy at exact, gamma = 0.1 and gamma = 0.25 at n <= 2 runs the
+kernel once.
+
 Every measurement is built from orthonormal column blocks, one (d, rank)
 block V_e per outcome with P_e = V_e V_e^dagger (see
 :class:`~scotsim.quantum.ProjectiveMeasurement`): a Haar measurement
@@ -48,6 +56,7 @@ import functools
 import hashlib
 import itertools
 import math
+import types
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -191,6 +200,11 @@ def omega_weight(
     return w1
 
 
+def _game_key(config: DqacmConfig, targets) -> tuple:
+    """What a game depends on: m, n, the targets and the basis family."""
+    return (config.m, config.n, tuple(targets), config.family.bases.tobytes())
+
+
 class _Game:
     """Precomputed enumeration data for one (config, targets) pair.
 
@@ -220,6 +234,7 @@ class _Game:
             raise ValueError(f"targets ({l0}, {l1}) must be distinct indices below {m}")
         self.config = config
         self.targets = (l0, l1)
+        self.key = _game_key(config, self.targets)
         self.m, self.n, self.l = m, n, l
         self.dim_a = l ** (m * n)
         self.n_out = l**n
@@ -239,18 +254,18 @@ class _Game:
             rest = tuple(k for k in range(m * n) if k not in decode[0] + decode[1])
             self.slots.append((*decode, rest))
 
-    def ball(self, gamma: float) -> np.ndarray:
-        """(E, b) outcomes accepted for each decoded value e: within distance n * gamma."""
+    def ball(self, radius: int) -> np.ndarray:
+        """(E, b) outcomes accepted for each decoded value e: within Hamming distance radius."""
         e = np.arange(self.n_out)
         dist = np.array([[bin(a ^ b).count("1") for b in e] for a in e])
-        return np.nonzero(dist <= self.n * gamma)[1].reshape(self.n_out, -1)
+        return np.nonzero(dist <= radius)[1].reshape(self.n_out, -1)
 
 
 _GAME_CACHE: dict[tuple, _Game] = {}
 
 
 def _game_for(config: DqacmConfig, targets: tuple[int, int]) -> _Game:
-    key = (config.m, config.n, tuple(targets), config.family.bases.tobytes())
+    key = _game_key(config, targets)
     game = _GAME_CACHE.get(key)
     if game is None:
         game = _Game(config, targets)
@@ -270,13 +285,15 @@ class _SplitSystem:
     from the d_a-dimensional message register onto all factors, for a
     unitary U on all factors and the ancilla in chi; the game reads nothing
     else, and random producers draw M alone.  Checked once: M^dagger M = I.
+    The strategy keeps its own read-only copy of M, so no write to the
+    caller's array can change it.
     """
 
     def _set_layout(self, ancilla_dims, isometry, split, qudit_count, local_dim):
         ancilla_dims = tuple(int(d) for d in ancilla_dims)
         d_a = local_dim**qudit_count
         total = _capped(d_a * math.prod(ancilla_dims), "strategy")
-        iso = np.asarray(isometry, dtype=np.complex128)
+        iso = np.array(isometry, dtype=np.complex128)
         if iso.shape != (total, d_a):
             raise ValueError(f"isometry shape {iso.shape} is not {(total, d_a)}")
         if not np.allclose(iso.conj().T @ iso, np.eye(d_a), atol=_ISOMETRY_TOL, rtol=0.0):
@@ -323,7 +340,7 @@ class Strategy(_SplitSystem):
     those into the branch-0 and branch-1 subsystems.  ``measurements``
     maps ``(branch, s)`` to the projective measurement that branch applies
     once the shuffle tuple s is announced; each has ``l**n`` outcomes
-    interpreted as the guessed row value.
+    interpreted as the guessed row value; the map is read-only.
     """
 
     targets: tuple[int, int]
@@ -342,7 +359,9 @@ class Strategy(_SplitSystem):
         for (branch, _s), pm in meas.items():
             self._check_dim(f"branch {branch}", pm, self.d1 if branch else self.d0)
         object.__setattr__(self, "targets", (int(targets[0]), int(targets[1])))
-        object.__setattr__(self, "measurements", meas)
+        object.__setattr__(self, "measurements", types.MappingProxyType(meas))
+        # (game key, radius) -> value, filled by _evaluate's kernel pass alone.
+        object.__setattr__(self, "_values", {})
 
 
 def _permute_rows(mat: np.ndarray, factors: Sequence[int], perm: Sequence[int]) -> np.ndarray:
@@ -452,16 +471,24 @@ def _contract(game: _Game, iso, factors, split, c0, c1, ball=None, scores=None, 
     return float(value) * norm, score_factors, None if h is None else norm * h
 
 
-def _evaluate(game: _Game, strategy: Strategy, ball: np.ndarray | None) -> float:
-    cols = ([strategy.measurements[(b, s)].columns for s in game.s_tuples] for b in (0, 1))
-    return _contract(game, strategy.isometry, strategy.factors, strategy.split, *cols, ball)[0]
+def _evaluate(game: _Game, strategy: Strategy, radius: int) -> float:
+    """Value at Hamming radius ``radius``: one kernel pass per strategy, game and radius."""
+    _check_compat(game, strategy)
+    key = (game.key, radius)
+    value = strategy._values.get(key)
+    if value is None:
+        cols = ([strategy.measurements[(b, s)].columns for s in game.s_tuples] for b in (0, 1))
+        ball = game.ball(radius) if radius else None
+        value = _contract(
+            game, strategy.isometry, strategy.factors, strategy.split, *cols, ball
+        )[0]
+        strategy._values[key] = value
+    return value
 
 
 def cheat_probability_exact(config: DqacmConfig, strategy: Strategy) -> float:
     """Average probability that both branches output their exact target rows."""
-    game = _game_for(config, strategy.targets)
-    _check_compat(game, strategy)
-    return _evaluate(game, strategy, None)
+    return _evaluate(_game_for(config, strategy.targets), strategy, 0)
 
 
 def cheat_probability_gamma(
@@ -470,14 +497,15 @@ def cheat_probability_gamma(
     """Cheating probability that credits answers within relative distance gamma.
 
     A branch's answer is accepted when it differs from the true row on
-    at most ``n * gamma`` rounds; the comparison is exact, so any gamma
-    below 1/n reduces to the exact game.
+    at most ``n * gamma`` rounds.  The game depends on gamma only through
+    the radius ``floor(n * gamma)``, so any gamma below 1/n is the exact
+    game, and a strategy keeps one value per game and radius: scoring it
+    again, or at another gamma of the same radius, runs no kernel pass.
     """
     if not 0.0 <= gamma <= 0.5:
         raise ValueError(f"gamma={gamma} outside [0, 0.5]")
     game = _game_for(config, strategy.targets)
-    _check_compat(game, strategy)
-    return _evaluate(game, strategy, game.ball(gamma) if game.n * gamma >= 1 else None)
+    return _evaluate(game, strategy, math.floor(game.n * gamma))
 
 
 def _exchange_update(blocks: list[np.ndarray], x: np.ndarray) -> list[np.ndarray]:
@@ -831,9 +859,9 @@ class BranchingStrategy(_SplitSystem):
     intermediate outcome set, of size ``m**2 (m - 1)``, and acts on the
     split-ordered joint space after the isometry (see
     :class:`Strategy`).  Each outcome g selects one product measurement
-    pair for the two branches: ``conditioned`` has exactly the keys
-    ``range(intermediate.n_outcomes)``, and all its measurements share
-    one outcome count.
+    pair for the two branches: ``conditioned``, a read-only map, has
+    exactly the keys ``range(intermediate.n_outcomes)``, and all its
+    measurements share one outcome count.
     """
 
     intermediate: ProjectiveMeasurement
@@ -862,7 +890,7 @@ class BranchingStrategy(_SplitSystem):
         if len(counts) > 1:
             raise ValueError(f"conditioned measurements differ in outcome count: {sorted(counts)}")
         object.__setattr__(self, "intermediate", intermediate)
-        object.__setattr__(self, "conditioned", conditioned)
+        object.__setattr__(self, "conditioned", types.MappingProxyType(conditioned))
 
 
 def random_branching_strategy(

@@ -214,10 +214,12 @@ class TestRandomStrategies:
                 assert pg >= p - 1e-12
 
     def test_zero_radius_ball_equals_exact(self, cfg21):
-        # floor(n * gamma) = 0 keeps only the exact answer in the ball
-        strat = random_strategy(cfg21, (0, 1), rng=3)
+        # floor(n * gamma) = 0 keeps only the exact answer in the ball.  A
+        # strategy keeps its score per radius, so each side scores its own
+        # draw of seed 3.
+        strat, twin = (random_strategy(cfg21, (0, 1), rng=3) for _ in range(2))
         p = cheat_probability_exact(cfg21, strat)
-        assert cheat_probability_gamma(cfg21, strat, 0.49) == pytest.approx(
+        assert cheat_probability_gamma(cfg21, twin, 0.49) == pytest.approx(
             p, abs=1e-12
         )
 
@@ -347,6 +349,49 @@ class TestStrategyValidation:
         with pytest.raises(ValueError, match="differ in outcome count: \\[2, 4\\]"):
             _rebuilt(random_branching_strategy, cfg21, conditioned=wider)
 
+    def test_strategy_owns_its_isometry(self, rebuilt):
+        good, _ = rebuilt()
+        # A complex128 array is copied: the caller's array stays writable.
+        mine = good.isometry.copy()
+        _, built = rebuilt(isometry=mine)
+        mine[0, 0] = 2
+        assert not built.isometry.flags.writeable
+        assert built.isometry.tobytes() == good.isometry.tobytes()
+        # So is a view: a write to its base leaves the strategy as it was.
+        d_a = good.isometry.shape[1]
+        base = np.concatenate((good.isometry, good.isometry), axis=1)
+        _, built = rebuilt(isometry=base[:, :d_a])
+        base[:, :d_a] = good.isometry[::-1]
+        assert built.isometry.tobytes() == good.isometry.tobytes()
+
+    def test_write_to_a_view_base_leaves_the_score(self, cfg21):
+        # Reversing the rows keeps M^dagger M = I but moves the value.
+        good = random_strategy(cfg21, (0, 1), rng=0)
+        base = np.concatenate((good.isometry, good.isometry), axis=1)
+        _, built = _rebuilt(random_strategy, cfg21, isometry=base[:, :4])
+        base[:, :4] = good.isometry[::-1]
+        moved = dataclasses.replace(good, isometry=good.isometry[::-1])
+        p = cheat_probability_exact(cfg21, good)
+        assert cheat_probability_exact(cfg21, moved) != p
+        assert cheat_probability_exact(cfg21, built) == p
+
+    def test_maps_are_read_only(self, cfg21):
+        # Assignment would bypass the dimension checks and stale the scores.
+        strat = random_strategy(cfg21, (0, 1), rng=0)
+        key = next(iter(strat.measurements))
+        with pytest.raises(TypeError):
+            strat.measurements[key] = strat.measurements[key]
+        branching = random_branching_strategy(cfg21, (0, 1), rng=0)
+        with pytest.raises(TypeError):
+            branching.conditioned[0] = branching.conditioned[1]
+        # A copy of either map builds the same strategy again.
+        same = {k: pm for k, pm in strat.measurements.items()}
+        _, again = _rebuilt(random_strategy, cfg21, measurements=same)
+        assert strategy_hash(again) == strategy_hash(strat)
+        same = {g: pair for g, pair in branching.conditioned.items()}
+        _, again = _rebuilt(random_branching_strategy, cfg21, conditioned=same)
+        assert dict(again.conditioned) == same
+
     def test_capacity_cap(self, cfg21, bb84):
         with pytest.raises(CapacityError):
             random_strategy(cfg21, (0, 1), ancilla_dim=2048, rng=0)
@@ -438,6 +483,70 @@ class TestSeesaw:
         assert res.trace == tuple(sorted(res.trace))
         lam = quantum.overlap_lambda(equal3)
         assert res.p_exact <= bounds.epsilon_bob(3, lam, 1) + 1e-9
+
+
+class TestScoreMemo:
+    """A strategy scores each game at each radius floor(n * gamma) in one pass."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        kernel, seen = adversary._contract, []
+
+        def counting(*args, **kwargs):
+            seen.append(None)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(adversary, "_contract", counting)
+        return seen
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_n2_scores_in_one_pass_per_radius(self, m, passes):
+        cfg = DqacmConfig(m=m, n=2, family=equal_spaced_family(m))
+        strat = random_strategy(cfg, (0, 1), rng=0)
+        # exact, gamma 0.1 and gamma 0.25 are all radius 0 at n = 2
+        exact = cheat_probability_exact(cfg, strat)
+        assert [cheat_probability_gamma(cfg, strat, g) for g in (0.1, 0.25)] == [exact] * 2
+        assert len(passes) == 1
+        wide = cheat_probability_gamma(cfg, strat, 0.5)
+        assert len(passes) == 2
+        assert cheat_probability_gamma(cfg, strat, 0.5) == wide
+        assert cheat_probability_exact(cfg, strat) == exact
+        assert len(passes) == 2
+
+    def test_n3_scores_in_one_pass_per_radius(self, bb84, passes):
+        cfg = DqacmConfig(m=2, n=3, family=bb84)
+        strat = random_strategy(cfg, (0, 1), rng=0)
+        # gamma 0.34 and 0.5 are both radius 1 at n = 3
+        narrow = cheat_probability_gamma(cfg, strat, 0.34)
+        assert cheat_probability_gamma(cfg, strat, 0.5) == narrow
+        assert len(passes) == 1
+        # Radius 2 needs gamma >= 2/3, outside [0, 0.5]: refused before any pass.
+        with pytest.raises(ValueError, match="outside"):
+            cheat_probability_gamma(cfg, strat, 0.67)
+        assert len(passes) == 1
+        assert cheat_probability_gamma(cfg, strat, 0.2) == cheat_probability_exact(cfg, strat)
+        assert len(passes) == 2
+
+    def test_scores_are_kept_per_family(self, cfg21, passes):
+        # The random draw reads no basis, so one seed draws one strategy
+        # under either family; the key must still tell the games apart.
+        planar = DqacmConfig(m=2, n=1, family=planar_basis_family(2, (math.pi / 3,)))
+        strat = random_strategy(cfg21, (0, 1), rng=0)
+        scores = {cfg: cheat_probability_exact(cfg, strat) for cfg in (cfg21, planar)}
+        assert len(passes) == 2
+        assert scores[cfg21] != scores[planar]
+        for cfg, p in scores.items():
+            assert cheat_probability_exact(cfg, random_strategy(cfg, (0, 1), rng=0)) == p
+
+    def test_seesaw_result_scores_in_one_pass(self, cfg21, passes):
+        # The see-saw leaves its result unscored: its own trace seeds nothing.
+        res = seesaw_optimize(cfg21, (0, 1), iterations=5, seed=0, tol=-1)
+        del passes[:]
+        values = [cheat_probability_exact(cfg21, res.strategy)] + [
+            cheat_probability_gamma(cfg21, res.strategy, g) for g in (0.1, 0.25)
+        ]
+        assert len(passes) == 1
+        assert values == [pytest.approx(res.p_exact, abs=1e-12)] * 3
 
 
 class TestLowerGates:

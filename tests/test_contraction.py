@@ -110,10 +110,16 @@ def test_uneven_widths_match_reference(cfg32):
 
 @pytest.mark.parametrize("m,n", GRID)
 def test_small_gamma_is_the_exact_game(m, n):
-    # Below 1/n the ball holds only the decoded value itself.
+    # Below 1/n the ball holds only the decoded value itself.  A strategy
+    # keeps its score per radius, so each side scores its own draw of seed 4.
     cfg = _config(m, n)
-    strat = random_strategy(cfg, (0, 1), rng=4)
-    assert cheat_probability_gamma(cfg, strat, 0.1) == cheat_probability_exact(cfg, strat)
+    strat, twin = (random_strategy(cfg, (0, 1), rng=4) for _ in range(2))
+    assert cheat_probability_gamma(cfg, strat, 0.1) == cheat_probability_exact(cfg, twin)
+    # The radius-0 ball path of the kernel is the exact game too.
+    game = adversary._game_for(cfg, strat.targets)
+    (p_ball, _, _), _, _ = _run_kernel(cfg, strat, ball=game.ball(0))
+    (p_exact, _, _), _, _ = _run_kernel(cfg, strat)
+    assert p_ball == pytest.approx(p_exact, abs=PIN)
 
 
 def test_scoring_builds_no_projectors(cfg32, monkeypatch):
