@@ -57,7 +57,7 @@ import hashlib
 import itertools
 import math
 import types
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -286,8 +286,15 @@ class _SplitSystem:
     unitary U on all factors and the ancilla in chi; the game reads nothing
     else, and random producers draw M alone.  Checked once: M^dagger M = I.
     The strategy keeps its own read-only copy of M, so no write to the
-    caller's array can change it.
+    caller's array can change it.  Pickling and copying rebuild it through
+    ``__init__``, checks included; the copy keeps no scores.
     """
+
+    def __reduce__(self):
+        args = (getattr(self, f.name) for f in fields(self))
+        return type(self), tuple(
+            dict(a) if isinstance(a, types.MappingProxyType) else a for a in args
+        )
 
     def _set_layout(self, ancilla_dims, isometry, split, qudit_count, local_dim):
         ancilla_dims = tuple(int(d) for d in ancilla_dims)

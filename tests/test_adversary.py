@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import itertools
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -349,7 +351,7 @@ class TestStrategyValidation:
         with pytest.raises(ValueError, match="differ in outcome count: \\[2, 4\\]"):
             _rebuilt(random_branching_strategy, cfg21, conditioned=wider)
 
-    def test_strategy_owns_its_isometry(self, rebuilt):
+    def test_strategy_owns_its_isometry(self, rebuilt, cfg21):
         good, _ = rebuilt()
         # A complex128 array is copied: the caller's array stays writable.
         mine = good.isometry.copy()
@@ -363,17 +365,28 @@ class TestStrategyValidation:
         _, built = rebuilt(isometry=base[:, :d_a])
         base[:, :d_a] = good.isometry[::-1]
         assert built.isometry.tobytes() == good.isometry.tobytes()
+        if isinstance(good, adversary.Strategy):
+            # That write keeps M^dagger M = I but would have moved the value.
+            moved = dataclasses.replace(good, isometry=good.isometry[::-1])
+            assert cheat_probability_exact(cfg21, moved) != cheat_probability_exact(cfg21, good)
 
-    def test_write_to_a_view_base_leaves_the_score(self, cfg21):
-        # Reversing the rows keeps M^dagger M = I but moves the value.
-        good = random_strategy(cfg21, (0, 1), rng=0)
-        base = np.concatenate((good.isometry, good.isometry), axis=1)
-        _, built = _rebuilt(random_strategy, cfg21, isometry=base[:, :4])
-        base[:, :4] = good.isometry[::-1]
-        moved = dataclasses.replace(good, isometry=good.isometry[::-1])
-        p = cheat_probability_exact(cfg21, good)
-        assert cheat_probability_exact(cfg21, moved) != p
-        assert cheat_probability_exact(cfg21, built) == p
+    def test_pickle_and_copy_rebuild_the_strategy(self, rebuilt, cfg21):
+        good, _ = rebuilt()
+
+        def stacks(branching):
+            pms = [pm for g in sorted(branching.conditioned) for pm in branching.conditioned[g]]
+            return [pm.columns.tobytes() for pm in pms + [branching.intermediate]]
+
+        for copied in (pickle.loads(pickle.dumps(good)), copy.deepcopy(good)):
+            assert type(copied) is type(good)
+            assert copied.isometry.tobytes() == good.isometry.tobytes()
+            assert not copied.isometry.flags.writeable
+            if isinstance(good, adversary.Strategy):
+                assert strategy_hash(copied) == strategy_hash(good)
+                score = cheat_probability_exact(cfg21, good)
+                assert cheat_probability_exact(cfg21, copied) == score
+            else:
+                assert stacks(copied) == stacks(good)
 
     def test_maps_are_read_only(self, cfg21):
         # Assignment would bypass the dimension checks and stale the scores.

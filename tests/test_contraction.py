@@ -175,17 +175,24 @@ def test_local_dimension_mismatch_rejected(cfg21):
         cheat_probability_exact(cfg21, strat)
 
 
-def test_evaluation_memory_stays_per_shuffle(cfg32):
+def test_evaluation_memory_stays_per_shuffle(cfg32, monkeypatch):
     # One shuffle's intermediates are about 1 MB at m=3, n=2; batching all
     # 36 shuffles at once would take over 30 MB.
     strat = random_strategy(cfg32, (0, 1), rng=2)
     cheat_probability_exact(cfg32, strat)  # builds and caches the game
+    # A twin keeps no score yet, so the measured call runs the kernel.
+    twin = random_strategy(cfg32, (0, 1), rng=2)
+    kernel, passes = adversary._contract, []
+    monkeypatch.setattr(
+        adversary, "_contract", lambda *a, **k: passes.append(None) or kernel(*a, **k)
+    )
     tracemalloc.start()
     try:
-        cheat_probability_exact(cfg32, strat)
+        cheat_probability_exact(cfg32, twin)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert len(passes) == 1
     assert peak < 8e6
 
 
