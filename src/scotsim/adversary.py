@@ -31,8 +31,13 @@ kernel once.
 Every measurement is built from orthonormal column blocks, one (d, rank)
 block V_e per outcome with P_e = V_e V_e^dagger (see
 :class:`~scotsim.quantum.ProjectiveMeasurement`): a Haar measurement
-splits the columns of one Haar unitary, the closed-form strategies take
-Kronecker products of basis columns and identities.  The contraction
+splits the columns of a Haar unitary, the closed-form strategies take
+Kronecker products of basis columns and identities.  Random strategies,
+random measurements and the see-saw's start draw all of their Haar
+unitaries of one dimension together (:func:`_haar_bases`): one batched,
+phase-fixed QR per stack, and one batched Gram check for the
+measurements they make, with the same Gaussians, in the same order, and
+so the same bytes as one draw at a time.  The contraction
 kernel reads the blocks as zero-padded column stacks and never builds a
 d x d projector nor a dense encoding: it encodes each shuffle tuple
 round by round and undoes it the same way for the gradient, and the
@@ -102,17 +107,47 @@ _ISOMETRY_TOL = 1e-9
 _SPLIT_TOL = 1e-10
 
 
-def _haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random (rows, cols) isometry; with rows == cols, a Haar unitary.
+def _phase_fixed_qr(z: np.ndarray) -> np.ndarray:
+    """Q of the thin QR of each matrix in ``z``, column j times the phase of R_jj.
 
-    Q of a complex Gaussian's thin QR, each column times the phase of R's
-    diagonal entry: without that fix the draw is not Haar (Mezzadri,
-    Notices AMS 54, 592 (2007)).
+    Without that fix the draw is not Haar (Mezzadri, Notices AMS 54, 592
+    (2007)).  A stack of matrices takes one batched QR.
     """
-    z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def _haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random (rows, cols) isometry; with rows == cols, a Haar unitary."""
+    z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    return _phase_fixed_qr(z)
+
+
+# Complex Gaussian bytes per batch of _haar_bases.  A batch's QR, phase
+# fix and Gram check briefly hold a few copies of it, so it stays small.
+# At ancilla 2 a draw at n = 1 or at m = 2, n = 2 is one batch and one at
+# m = 3, n = 2 at most twelve; a larger draw holds little beyond its bases.
+_HAAR_BATCH_BYTES = 2**18
+
+
+def _haar_bases(dims: Sequence[int], count: int, rng: np.random.Generator):
+    """``count`` Haar unitaries of each dimension in ``dims``, one batched QR per stack.
+
+    The Gaussians are those of ``_haar_isometry(d, d, rng)`` called for d
+    in ``dims``, ``count`` times over, so the unitaries are those calls'
+    bytes.  Yields one tuple of (c, d, d) stacks per batch of c draws.
+    """
+    sizes = [d * d for d in dims]
+    step = max(1, _HAAR_BATCH_BYTES // (16 * sum(sizes)))
+    for lo in range(0, count, step):
+        flat = rng.standard_normal((min(step, count - lo), 2 * sum(sizes)))
+        stacks, at = [], 0
+        for d, size in zip(dims, sizes):
+            re, im = (flat[:, a : a + size].reshape(-1, d, d) for a in (at, at + size))
+            stacks.append(_phase_fixed_qr(re + 1j * im))
+            at += 2 * size
+        yield tuple(stacks)
 
 
 def _capped(total: int, what: str) -> int:
@@ -129,17 +164,31 @@ def _ancilla_total(game: _Game, ancilla_dim: int, what: str) -> int:
     return _capped(game.dim_a * ancilla_dim, what)
 
 
-def _haar_column_blocks(
-    dim: int, n_outcomes: int, rng: np.random.Generator, ranks: Sequence[int] | None = None
-) -> list[np.ndarray]:
-    """Column blocks of one Haar unitary: outcome k takes the next ``ranks[k]``."""
+def _rank_profile(
+    dim: int, n_outcomes: int, ranks: Sequence[int] | None = None
+) -> tuple[int, ...]:
+    """``ranks``, checked before any draw; by default ``dim`` split as evenly as possible."""
     if ranks is None:
         base, rem = divmod(dim, n_outcomes)
         ranks = [base + (1 if k < rem else 0) for k in range(n_outcomes)]
-    ranks = [int(x) for x in ranks]
+    ranks = tuple(int(x) for x in ranks)
     if len(ranks) != n_outcomes or any(x < 0 for x in ranks) or sum(ranks) != dim:
-        raise ValueError(f"rank profile {ranks} does not resolve dimension {dim}")
-    return np.split(_haar_isometry(dim, dim, rng), np.cumsum(ranks[:-1]), axis=1)
+        raise ValueError(f"rank profile {list(ranks)} does not resolve dimension {dim}")
+    return ranks
+
+
+def _haar_measurements(profiles: Sequence[tuple[int, ...]], count: int, rng):
+    """``count`` Haar measurements per rank profile, drawn by :func:`_haar_bases`.
+
+    Returns one list per profile; draw i of every profile comes before
+    draw i + 1 of any, as successive :func:`random_measurement` calls
+    would draw them.
+    """
+    out = [[] for _ in profiles]
+    for stacks in _haar_bases([sum(p) for p in profiles], count, rng):
+        for pms, bases, ranks in zip(out, stacks, profiles):
+            pms += ProjectiveMeasurement.stack(bases, ranks)
+    return out
 
 
 def random_measurement(
@@ -151,7 +200,8 @@ def random_measurement(
     when ``dim < n_outcomes`` the surplus outcomes get rank-0 (all-zero)
     projectors, which the game treats as outcomes never produced.
     """
-    return ProjectiveMeasurement(_haar_column_blocks(dim, n_outcomes, _as_rng(rng), ranks))
+    profile = _rank_profile(dim, n_outcomes, ranks)
+    return _haar_measurements([profile], 1, _as_rng(rng))[0][0]
 
 
 def compose_shuffles(
@@ -303,7 +353,8 @@ class _SplitSystem:
         iso = np.array(isometry, dtype=np.complex128)
         if iso.shape != (total, d_a):
             raise ValueError(f"isometry shape {iso.shape} is not {(total, d_a)}")
-        if not np.allclose(iso.conj().T @ iso, np.eye(d_a), atol=_ISOMETRY_TOL, rtol=0.0):
+        # Written so that a NaN entry fails too.
+        if not np.abs(iso.conj().T @ iso - np.eye(d_a)).max() <= _ISOMETRY_TOL:
             raise ValueError("strategy isometry fails the check M^dagger M = I")
         idx0 = tuple(int(i) for i in split[0])
         idx1 = tuple(int(i) for i in split[1])
@@ -596,9 +647,10 @@ def seesaw_optimize(
     # state[b][si]: branch b's column block per outcome; state[2]: M.  stacks[b]
     # holds the padded columns the kernel reads, rebuilt with state[b].
     state = [[], [], _haar_isometry(total, d_a, rng)]
-    for _ in game.s_tuples:
-        for b, d in enumerate((d_a, ancilla_dim)):
-            state[b].append(_haar_column_blocks(d, game.n_out, rng))
+    cuts = [np.cumsum(_rank_profile(d, game.n_out)[:-1]) for d in (d_a, ancilla_dim)]
+    for bases in _haar_bases((d_a, ancilla_dim), len(game.s_tuples), rng):
+        for b in (0, 1):
+            state[b] += [np.split(u, cuts[b], axis=1) for u in bases[b]]
     stacks = [[block_columns(v) for v in blocks] for blocks in state[:2]]
 
     def assign(kind, value):
@@ -685,10 +737,11 @@ def random_strategy(
     d0 = math.prod(factors[i] for i in split0)
     d1 = math.prod(factors[i] for i in split1)
 
-    measurements = {}
-    for s in game.s_tuples:
-        measurements[(0, s)] = random_measurement(d0, game.n_out, rng)
-        measurements[(1, s)] = random_measurement(d1, game.n_out, rng)
+    profiles = [_rank_profile(d, game.n_out) for d in (d0, d1)]
+    drawn = _haar_measurements(profiles, len(game.s_tuples), rng)
+    measurements = {
+        (b, s): drawn[b][si] for si, s in enumerate(game.s_tuples) for b in (0, 1)
+    }
     return Strategy(
         targets=targets,
         ancilla_dims=(ancilla_dim,),
@@ -916,12 +969,8 @@ def random_branching_strategy(
     mn = config.m * config.n
     total = _ancilla_total(game, ancilla_dim, "strategy")
     n_gamma = config.m**2 * (config.m - 1)
-    conditioned = {}
-    for g in range(n_gamma):
-        conditioned[g] = (
-            random_measurement(game.dim_a, game.n_out, rng),
-            random_measurement(ancilla_dim, game.n_out, rng),
-        )
+    profiles = [_rank_profile(d, game.n_out) for d in (game.dim_a, ancilla_dim)]
+    conditioned = dict(enumerate(zip(*_haar_measurements(profiles, n_gamma, rng))))
     return BranchingStrategy(
         intermediate=random_measurement(total, n_gamma, rng),
         conditioned=conditioned,

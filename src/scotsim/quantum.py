@@ -6,14 +6,16 @@ family constructors, product-state preparation under round-wise
 position permutations, Born-rule measurement of whole states or chosen
 subsystems, and a couple of dense linear-algebra helpers.  Every
 projective measurement is built from one block of orthonormal columns
-per outcome, checked once by a single Gram matrix, and kept as a padded
-column stack; measuring compresses a state with those columns, and no
-d x d projector is kept.  Everything is dense numpy; preparation is
-capped at 2**12 total dimensions.
+per outcome and kept as a padded column stack.  Measurements built
+together (:meth:`ProjectiveMeasurement.stack`) pass one batched Gram
+check and share one array.  Measuring compresses a state with those
+columns, and no d x d projector is kept.  Everything is dense numpy;
+preparation is capped at 2**12 total dimensions.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -216,11 +218,14 @@ def prepare_product_state(
 
 
 def block_columns(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    """The (E, d, w) stack of (d, r_e) column blocks, zero-padded to w = max r_e."""
-    d, width = blocks[0].shape[0], max(v.shape[1] for v in blocks)
-    cols = np.zeros((len(blocks), d, width), dtype=np.complex128)
+    """The (E, d, w) stack of (d, r_e) column blocks, zero-padded to w = max r_e.
+
+    Blocks with leading axes, (..., d, r_e), give a (..., E, d, w) stack.
+    """
+    d, width = blocks[0].shape[-2], max(v.shape[-1] for v in blocks)
+    cols = np.zeros(blocks[0].shape[:-2] + (len(blocks), d, width), dtype=np.complex128)
     for e, v in enumerate(blocks):
-        cols[e, :, : v.shape[1]] = v
+        cols[..., e, :, : v.shape[-1]] = v
     return cols
 
 
@@ -236,6 +241,32 @@ def block_projectors(blocks: Sequence[np.ndarray]) -> np.ndarray:
     return cols @ cols.conj().swapaxes(1, 2)
 
 
+def _column_stack(bases: np.ndarray, ranks: tuple[int, ...]) -> np.ndarray:
+    """The read-only (S, E, d, w) column stacks of S checked (d, d) bases.
+
+    Basis k's outcome e takes the next ``ranks[e]`` columns of
+    ``bases[k]``, padded by :func:`block_columns`.  One Gram product
+    checks every basis: ``|V^dagger V - I|`` must stay within
+    ``PROJECTOR_TOL`` entrywise, and a NaN entry fails.  The error names
+    the first failing basis (when there are several) and the outcomes
+    that own its first failing entry.
+    """
+    n_bases, d = bases.shape[:2]
+    dev = np.abs(bases.conj().swapaxes(1, 2) @ bases - np.eye(d))
+    if not dev.max() <= PROJECTOR_TOL:
+        k, i, j = np.argwhere(~(dev <= PROJECTOR_TOL))[0]
+        owner = np.repeat(np.arange(len(ranks)), ranks)
+        a, b = sorted((int(owner[i]), int(owner[j])))
+        where = f"basis {k}: " if n_bases > 1 else ""
+        if a == b:
+            raise ValueError(f"{where}block {a} is not orthonormal")
+        raise ValueError(f"{where}blocks {a} and {b} overlap")
+    edges = list(itertools.accumulate(ranks, initial=0))
+    cols = block_columns([bases[..., a:b] for a, b in zip(edges, edges[1:])])
+    cols.setflags(write=False)
+    return cols
+
+
 @dataclass(frozen=True, eq=False)
 class ProjectiveMeasurement:
     """A complete projective measurement given by orthonormal column blocks.
@@ -245,11 +276,14 @@ class ProjectiveMeasurement:
     block.  One check runs at construction: the blocks side by side form
     a d x d matrix V with ``V^dagger V = I`` within ``PROJECTOR_TOL``.
     That makes every P_e Hermitian and idempotent, the P_e mutually
-    orthogonal, and their sum the identity.  ``columns`` is the read-only
-    (E, d, w) :func:`block_columns` stack and ``ranks`` lists the r_e;
-    :func:`block_projectors` builds the P_e from ``columns`` where a
-    caller needs them.  ``subsystems`` restricts the action to the listed
-    tensor factors of the measured state (None means the whole space).
+    orthogonal, and their sum the identity.  :meth:`stack` builds many
+    measurements of one rank profile at once, with one Gram product for
+    all of their bases, and each of them is a view into one shared array.
+    ``columns`` is the read-only (E, d, w) :func:`block_columns` stack and
+    ``ranks`` lists the r_e; :func:`block_projectors` builds the P_e from
+    ``columns`` where a caller needs them.  ``subsystems`` restricts the
+    action to the listed tensor factors of the measured state (None means
+    the whole space).
     """
 
     columns: np.ndarray
@@ -270,16 +304,32 @@ class ProjectiveMeasurement:
         if sum(ranks) != d:
             raise ValueError(f"blocks have {sum(ranks)} columns in all, need {d}")
         joint = np.concatenate(blocks, axis=1)
-        bad = np.abs(joint.conj().T @ joint - np.eye(d)) > PROJECTOR_TOL
-        if bad.any():
-            # Name the outcomes that own the first failing entry of V^dagger V.
-            owner = np.repeat(np.arange(len(blocks)), ranks)
-            a, b = sorted(int(owner[i]) for i in np.argwhere(bad)[0])
-            if a == b:
-                raise ValueError(f"block {a} is not orthonormal")
-            raise ValueError(f"blocks {a} and {b} overlap")
-        columns = block_columns(blocks)
-        columns.setflags(write=False)
+        self._set(_column_stack(joint[None], ranks)[0], ranks, subsystems)
+
+    @classmethod
+    def stack(cls, bases, ranks: Sequence[int]) -> list[ProjectiveMeasurement]:
+        """One measurement per (d, d) basis of the (S, d, d) ``bases``.
+
+        Outcome e of each takes the next ``ranks[e]`` columns of its
+        basis, as ``cls(np.split(basis, np.cumsum(ranks[:-1]), axis=1))``
+        would, but all S bases pass one Gram check, and every measurement's
+        ``columns`` is a view into one read-only (S, E, d, w) array.
+        """
+        bases = np.asarray(bases, dtype=np.complex128)
+        ranks = tuple(int(r) for r in ranks)
+        if bases.ndim != 3 or bases.shape[1] != bases.shape[2]:
+            raise ValueError(f"bases must have shape (S, d, d), got {bases.shape}")
+        d = bases.shape[1]
+        if not ranks or min(ranks) < 0 or sum(ranks) != d:
+            raise ValueError(f"rank profile {list(ranks)} does not resolve dimension {d}")
+        out = []
+        for columns in _column_stack(bases, ranks):
+            pm = cls.__new__(cls)
+            pm._set(columns, ranks, None)
+            out.append(pm)
+        return out
+
+    def _set(self, columns, ranks, subsystems) -> None:
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(

@@ -268,6 +268,65 @@ class TestHaarIsometry:
         assert ("Re M", 0, 0) in {m[:3] for m in misses}
 
 
+# Dimensions drawn together, in this interleaved order; 1, 2 and 3 lie
+# below the four outcomes, so their profiles have rank-0 outcomes.
+STACKED_DIMS = (8, 1, 64, 3, 2)
+
+
+def _one_draw_at_a_time(count, seed):
+    """The unitaries of ``count`` rounds of one QR per d in STACKED_DIMS.
+
+    Each is the thin QR of a complex Gaussian, real part first, with each
+    column of Q times the phase of R's diagonal entry: the law the moment
+    test checks, written out apart from the library's code.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        for d in STACKED_DIMS:
+            z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            q, r = np.linalg.qr(z)
+            out.append(q * (np.diagonal(r) / np.abs(np.diagonal(r))))
+    return out
+
+
+class TestStackedHaarDraws:
+    # One batch, one draw per batch, and batches of two with one left over.
+    @pytest.mark.parametrize("batches", [1, 5, 3])
+    @pytest.mark.parametrize("count", [1, 5])
+    def test_bytes_are_one_draw_at_a_time(self, count, batches, monkeypatch):
+        per_draw = 16 * sum(d * d for d in STACKED_DIMS)
+        monkeypatch.setattr(adversary, "_HAAR_BATCH_BYTES", per_draw * -(-count // batches))
+        want = _one_draw_at_a_time(count, seed=11)
+        rng = np.random.default_rng(11)
+        loop = [adversary._haar_isometry(d, d, rng) for _ in range(count) for d in STACKED_DIMS]
+        assert [u.tobytes() for u in loop] == [u.tobytes() for u in want]
+
+        chunks = list(adversary._haar_bases(STACKED_DIMS, count, np.random.default_rng(11)))
+        assert len(chunks) == min(batches, count)
+        stacks = [np.concatenate(per_dim) for per_dim in zip(*chunks)]
+        got = [stacks[k][i] for i in range(count) for k in range(len(STACKED_DIMS))]
+        assert [u.tobytes() for u in got] == [u.tobytes() for u in want]
+
+        profiles = [adversary._rank_profile(d, 4) for d in STACKED_DIMS]
+        drawn = adversary._haar_measurements(profiles, count, np.random.default_rng(11))
+        for k, ranks in enumerate(profiles):
+            assert len(drawn[k]) == count
+            for i, pm in enumerate(drawn[k]):
+                u = want[i * len(STACKED_DIMS) + k]
+                one = quantum.ProjectiveMeasurement(np.split(u, np.cumsum(ranks[:-1]), axis=1))
+                assert pm.ranks == one.ranks == ranks
+                assert pm.columns.tobytes() == one.columns.tobytes()
+                assert not pm.columns.flags.writeable
+
+    def test_random_measurement_keeps_its_rank_checks(self):
+        assert random_measurement(2, 4, 0).ranks == (1, 1, 0, 0)
+        assert random_measurement(8, 4, 0, ranks=[3, 0, 5, 0]).ranks == (3, 0, 5, 0)
+        for ranks in ([3, 0, 4, 0], [3, 0, 5], [9, -1, 0, 0]):
+            with pytest.raises(ValueError, match="does not resolve dimension 8"):
+                random_measurement(8, 4, 0, ranks=ranks)
+
+
 def _rebuilt(draw, cfg, **changes):
     """A valid strategy from ``draw`` and a copy of it with some fields changed."""
     good = draw(cfg, (0, 1), rng=0)
@@ -327,6 +386,13 @@ class TestStrategyValidation:
         good, _ = rebuilt()
         with pytest.raises(ValueError):
             rebuilt(split=(good.split[0], ()))
+
+    def test_nan_isometry_is_refused(self, rebuilt):
+        good, _ = rebuilt()
+        iso = good.isometry.copy()
+        iso[1, 0] = np.nan
+        with pytest.raises(ValueError, match="M\\^dagger M = I"):
+            rebuilt(isometry=iso)
 
     def test_measurement_dims_must_match(self, cfg21):
         good, _ = _rebuilt(random_strategy, cfg21)

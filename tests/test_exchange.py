@@ -30,7 +30,8 @@ PROFILES = [
 
 def _random_state(dim, ranks, seed, columns=6):
     rng = np.random.default_rng(seed)
-    blocks = adversary._haar_column_blocks(dim, E, rng, ranks)
+    (unitary,), = next(adversary._haar_bases((dim,), 1, rng))
+    blocks = np.split(unitary, np.cumsum(adversary._rank_profile(dim, E, ranks)[:-1]), axis=1)
     x = rng.standard_normal((E, dim, columns)) + 1j * rng.standard_normal((E, dim, columns))
     return blocks, x
 

@@ -166,6 +166,38 @@ class TestMeasurements:
         assert not projectors[1].any()
         assert np.abs(projectors.sum(axis=0) - np.eye(d)).max() < 1e-12
 
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_stacked_check_names_the_basis_and_outcomes(self, k, rng):
+        # Five bases of dimension 6; columns 0-1 are block 0, 2-4 block 2
+        # and 5 block 3, while block 1 has rank 0.
+        n_bases, d, ranks = 5, 6, (2, 0, 3, 1)
+        z = rng.standard_normal((n_bases, d, d)) + 1j * rng.standard_normal((n_bases, d, d))
+        bases = np.linalg.qr(z)[0]
+        pms = ProjectiveMeasurement.stack(bases, ranks)
+        for pm, u in zip(pms, bases):
+            one = ProjectiveMeasurement(np.split(u, [2, 2, 5], axis=1))
+            assert pm.columns.tobytes() == one.columns.tobytes()
+            assert pm.ranks == one.ranks == ranks
+            assert pm.columns.base is pms[0].columns.base
+            assert not pm.columns.flags.writeable
+        scaled = bases.copy()
+        scaled[k, :, 3] *= 2.0
+        with pytest.raises(ValueError, match=f"^basis {k}: block 2 is not orthonormal$"):
+            ProjectiveMeasurement.stack(scaled, ranks)
+        overlapping = bases.copy()
+        overlapping[k, :, 5] = overlapping[k, :, 0]
+        with pytest.raises(ValueError, match=f"^basis {k}: blocks 0 and 3 overlap$"):
+            ProjectiveMeasurement.stack(overlapping, ranks)
+        # A NaN entry fails the check too, in a stack and on its own.
+        broken = bases.copy()
+        broken[k, 1, 1] = np.nan
+        with pytest.raises(ValueError, match=f"^basis {k}: block 0 is not orthonormal$"):
+            ProjectiveMeasurement.stack(broken, ranks)
+        with pytest.raises(ValueError, match="^block 0 is not orthonormal$"):
+            ProjectiveMeasurement(np.split(broken[k], [2, 2, 5], axis=1))
+        with pytest.raises(ValueError, match="rank profile \\[2, 0, 3\\] does not resolve"):
+            ProjectiveMeasurement.stack(bases, ranks[:-1])
+
     def test_block_check_survives_optimize(self):
         res = run_optimized(
             """
